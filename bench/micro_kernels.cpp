@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the kernels underneath every figure:
 // codec encode/decode throughput, edge-collapse decimation, point location,
-// delta calculation/restoration, and blob detection.
+// vertex mapping, delta calculation/restoration, and blob detection.
 //
 // `--compare` switches to the scalar-vs-SIMD harness instead (no
 // google-benchmark): each vectorized hot kernel (crc32 slice-by-8, zfp
@@ -35,6 +35,7 @@
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 using namespace canopus;
@@ -119,6 +120,29 @@ static void BM_PointLocation(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PointLocation);
+
+// The write path's full mapping pass on a real decimated XGC pair. Unlike
+// BM_PointLocation it includes the rim vertices that fall outside the
+// shrunken coarse mesh and take the nearest-triangle search.
+static void BM_BuildMapping(benchmark::State& state) {
+  const auto& ds = xgc_small();
+  mesh::DecimateOptions opt;
+  opt.ratio = 2.0;
+  const auto coarse = mesh::decimate(ds.mesh, ds.values, opt);
+  const mesh::PointLocator locator(coarse.mesh);
+  std::size_t misses = 0;
+  for (mesh::VertexId v = 0; v < ds.mesh.vertex_count(); ++v) {
+    if (!locator.try_locate(ds.mesh.vertex(v))) ++misses;
+  }
+  util::ThreadPool pool(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::build_mapping(ds.mesh, coarse.mesh, &pool));
+  }
+  state.counters["rim_misses"] = static_cast<double>(misses);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ds.mesh.vertex_count()));
+}
+BENCHMARK(BM_BuildMapping)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 static void BM_DeltaAndRestore(benchmark::State& state) {
   const auto& ds = xgc_small();

@@ -165,8 +165,9 @@ VertexMapping build_mapping(const mesh::TriMesh& fine, const mesh::TriMesh& coar
   VertexMapping m;
   m.triangle.resize(fine.vertex_count());
   m.weights.resize(fine.vertex_count());
-  // Point location per vertex is independent; fan out on the pool (this is
-  // the dominant cost of the refactoring write path).
+  // Point location per vertex is independent; fan out on the pool. Most
+  // vertices hit a grid cell directly; rim vertices outside the shrunken
+  // coarse mesh take the locator's ring-bounded nearest-triangle search.
   pool_or_global(pool).parallel_for(
       0, fine.vertex_count(),
       [&](std::size_t lo, std::size_t hi) {

@@ -5,10 +5,13 @@
 // for every fine-level vertex, the coarse-level triangle that contains it.
 // Canopus stores that mapping in metadata during refactoring; this locator
 // is what builds it. The brute-force O(V·T) scan the paper warns about is
-// replaced by bucketing triangle bounding boxes into a uniform grid.
+// replaced by bucketing triangle bounding boxes into a uniform grid; points
+// outside the mesh find their nearest triangle by a ring search over the
+// same grid, which returns exactly what a scan of every triangle would.
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "mesh/tri_mesh.hpp"
@@ -34,25 +37,26 @@ class PointLocator {
   Location locate(Vec2 p) const;
 
   /// Exact containment only: returns nullopt for points outside every
-  /// triangle instead of the (linear-cost) nearest-triangle fallback. Use for
-  /// dense queries like rasterization where misses are expected and cheap.
+  /// triangle instead of the nearest-triangle fallback. Use for dense
+  /// queries like rasterization where misses are expected and cheap.
   std::optional<Location> try_locate(Vec2 p) const;
-
-  /// Maps every vertex of `fine` onto this locator's (coarse) mesh.
-  std::vector<Location> locate_all(const TriMesh& fine) const;
 
   std::size_t grid_nx() const { return nx_; }
   std::size_t grid_ny() const { return ny_; }
 
  private:
   std::size_t cell_of(Vec2 p) const;
+  /// Triangles whose bounding box overlaps cell `c`, in ascending id order.
+  std::span<const TriangleId> cell(std::size_t c) const;
   Location nearest_fallback(Vec2 p) const;
 
   const TriMesh& mesh_;
   Aabb bounds_;
   std::size_t nx_ = 1, ny_ = 1;
   double inv_dx_ = 0.0, inv_dy_ = 0.0;
-  std::vector<std::vector<TriangleId>> cells_;
+  // Cell c lists cell_tris_[cell_start_[c] .. cell_start_[c + 1]).
+  std::vector<std::size_t> cell_start_;
+  std::vector<TriangleId> cell_tris_;
 };
 
 }  // namespace canopus::mesh

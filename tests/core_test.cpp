@@ -12,7 +12,9 @@
 #include "core/canopus.hpp"
 #include "mesh/cascade.hpp"
 #include "mesh/generators.hpp"
+#include "mesh/point_locator.hpp"
 #include "mesh/validate.hpp"
+#include "sim/datasets.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/simd.hpp"
 #include "util/stats.hpp"
@@ -259,6 +261,68 @@ TEST(Refactorer, PrebuiltCascadeMatchesFromScratchRefactor) {
     EXPECT_EQ(prebuilt.products[i].tier, from_scratch.products[i].tier);
   }
   EXPECT_EQ(prebuilt.level_vertices, from_scratch.level_vertices);
+}
+
+TEST(Refactorer, XgcContainerBytesPinned) {
+  // Every stored product of a small XGC1 refactor, hashed in index order and
+  // compared with a constant: any write-path change that alters a single
+  // stored byte (decimation, vertex mapping, delta, codec, placement) fails
+  // here. The constant assumes IEEE double arithmetic without floating-point
+  // contraction, the x86-64 default.
+  canopus::sim::XgcOptions xopt;
+  xopt.rings = 24;
+  xopt.sectors = 120;
+  const auto ds = canopus::sim::make_xgc_dataset(xopt);
+  cc::RefactorConfig config;
+  config.levels = 4;
+  config.codec = "zfp";
+  config.error_bound = 1e-4;
+  config.delta_chunks = 8;
+
+  // The pin must cover the nearest-triangle fallback: decimation shrinks the
+  // annulus rim, so some fine vertices fall outside the next coarse level.
+  cm::CascadeOptions copt;
+  copt.levels = config.levels;
+  copt.step = config.step;
+  copt.decimate = config.decimate;
+  const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
+  std::size_t misses = 0;
+  for (std::size_t l = 0; l + 1 < cascade.level_count(); ++l) {
+    const cm::PointLocator locator(cascade.levels[l + 1].mesh);
+    const auto& fine = cascade.levels[l].mesh;
+    for (cm::VertexId v = 0; v < fine.vertex_count(); ++v) {
+      if (!locator.try_locate(fine.vertex(v))) ++misses;
+    }
+  }
+  ASSERT_GT(misses, 0u);
+
+  canopus::Pipeline pipeline(big_two_tiers());
+  canopus::WriteRequest wreq;
+  wreq.path = "xgc.bp";
+  wreq.var = "dpot";
+  wreq.mesh = &ds.mesh;
+  wreq.values = &ds.values;
+  wreq.config = config;
+  ASSERT_TRUE(pipeline.write(wreq).ok());
+
+  // FNV-1a over (key, payload) of every block record.
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  auto mix = [&hash](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      hash = (hash ^ p[i]) * 0x100000001b3ull;
+    }
+  };
+  ca::BpReader reader(pipeline.hierarchy(), wreq.path);
+  const auto records = reader.inq_var(wreq.var).blocks;
+  ASSERT_GT(records.size(), 0u);
+  for (const auto& record : records) {
+    cu::Bytes bytes;
+    pipeline.hierarchy().read(record.object_key, bytes);
+    mix(record.object_key.data(), record.object_key.size());
+    mix(bytes.data(), bytes.size());
+  }
+  EXPECT_EQ(hash, 0x834ad2e72a59ef90ull) << std::hex << "0x" << hash;
 }
 
 TEST(Refactorer, BypassesFullFastTier) {

@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "mesh/cascade.hpp"
 #include "mesh/decimate.hpp"
@@ -235,6 +240,153 @@ TEST(PointLocator, InterpolationReproducesLinearField) {
                           f[tri.v[2]] * loc.weights[2];
     EXPECT_NEAR(interp, 3.0 * p.x - 2.0 * p.y + 0.5, 1e-9);
   }
+}
+
+namespace {
+
+/// Reference oracle for the nearest-triangle fallback: every triangle's
+/// clamped barycentric projection, the nearest kept, ties to the lowest id.
+cm::Location nearest_by_scan(const cm::TriMesh& mesh, cm::Vec2 p) {
+  cm::Location best;
+  double best_d2 = std::numeric_limits<double>::infinity();
+  for (cm::TriangleId t = 0; t < mesh.triangle_count(); ++t) {
+    const auto& tri = mesh.triangle(t);
+    const cm::Vec2 a = mesh.vertex(tri.v[0]), b = mesh.vertex(tri.v[1]),
+                   c = mesh.vertex(tri.v[2]);
+    auto w = cm::barycentric(p, a, b, c);
+    for (double& wi : w) wi = std::max(0.0, wi);
+    const double sum = w[0] + w[1] + w[2];
+    if (sum <= 0.0) continue;
+    for (double& wi : w) wi /= sum;
+    const cm::Vec2 proj = a * w[0] + b * w[1] + c * w[2];
+    const double d2 = (proj - p).norm2();
+    if (d2 < best_d2) {
+      best_d2 = d2;
+      best = cm::Location{t, w, false};
+    }
+  }
+  return best;
+}
+
+/// A square frame around a square hole, [-2,2]² minus (-1,1)², built from
+/// one side's six triangles and its exact 90° rotations. From the hole's
+/// center, triangles on all four sides project to a point at distance
+/// exactly 1, so the nearest-triangle search faces bitwise ties that it
+/// must break to the lowest id.
+cm::TriMesh make_square_frame() {
+  const std::array<std::array<cm::Vec2, 3>, 6> side = {{
+      {{{1, -1}, {2, -2}, {2, -1}}},
+      {{{1, -1}, {2, -1}, {1, 0}}},
+      {{{1, 0}, {2, -1}, {2, 0}}},
+      {{{1, 0}, {2, 0}, {1, 1}}},
+      {{{1, 1}, {2, 0}, {2, 1}}},
+      {{{1, 1}, {2, 1}, {2, 2}}},
+  }};
+  std::vector<cm::Vec2> verts;
+  std::vector<cm::Triangle> tris;
+  auto vertex_id = [&verts](cm::Vec2 p) {
+    for (cm::VertexId v = 0; v < verts.size(); ++v) {
+      if (verts[v].x == p.x && verts[v].y == p.y) return v;
+    }
+    verts.push_back(p);
+    return static_cast<cm::VertexId>(verts.size() - 1);
+  };
+  for (int quarter = 0; quarter < 4; ++quarter) {
+    for (const auto& corners : side) {
+      cm::Triangle tri;
+      for (int k = 0; k < 3; ++k) {
+        cm::Vec2 p = corners[k];
+        for (int r = 0; r < quarter; ++r) p = {-p.y, p.x};
+        tri.v[k] = vertex_id(p);
+      }
+      tris.push_back(tri);
+    }
+  }
+  return cm::TriMesh(std::move(verts), std::move(tris));
+}
+
+}  // namespace
+
+TEST(PointLocator, FallbackMatchesBruteForceScan) {
+  // The grid ring search must return exactly what the full scan returns:
+  // same triangle, bitwise-equal weights. Queries are the vertices of each
+  // decimated level that fall outside the next coarser level (the points
+  // build_mapping falls back on), the bounds' center when it is outside the
+  // mesh, and seeded points far outside the bounds in all eight directions.
+  cu::Rng rng(1234);
+  auto check = [&rng](const std::string& name, const cm::TriMesh& coarse,
+                      std::vector<cm::Vec2> queries) {
+    const cm::PointLocator locator(coarse);
+    const auto box = coarse.bounds();
+    const cm::Vec2 center = (box.lo + box.hi) / 2.0;
+    if (!locator.try_locate(center)) queries.push_back(center);
+    const double span = std::max(box.width(), box.height());
+    for (int dx = -1; dx <= 1; ++dx) {
+      for (int dy = -1; dy <= 1; ++dy) {
+        if (dx == 0 && dy == 0) continue;
+        for (int i = 0; i < 4; ++i) {
+          const double reach = span * rng.uniform(0.01, 3.0);
+          const double x = dx < 0   ? box.lo.x - reach
+                           : dx > 0 ? box.hi.x + reach
+                                    : rng.uniform(box.lo.x, box.hi.x);
+          const double y = dy < 0   ? box.lo.y - reach
+                           : dy > 0 ? box.hi.y + reach
+                                    : rng.uniform(box.lo.y, box.hi.y);
+          queries.push_back({x, y});
+        }
+      }
+    }
+    for (const auto& p : queries) {
+      const auto got = locator.locate(p);
+      const auto want = nearest_by_scan(coarse, p);
+      ASSERT_EQ(got.triangle, want.triangle)
+          << name << " at (" << p.x << ", " << p.y << ")";
+      for (int k = 0; k < 3; ++k) {
+        ASSERT_EQ(got.weights[k], want.weights[k]) << name << " weight " << k;
+      }
+      EXPECT_FALSE(got.exact) << name;
+    }
+  };
+
+  struct Case {
+    const char* name;
+    cm::TriMesh mesh;
+  };
+  const std::vector<Case> cases = {
+      {"annulus", cm::make_annulus_mesh(16, 96, 0.5, 1.0, 0.15, 2)},
+      {"disk", cm::make_disk_mesh(14, 64, 1.0, 0.15, 5)},
+      {"rect", cm::make_rect_mesh(40, 40, 1.0, 1.0, 0.2, 6)},
+      {"airfoil", cm::make_airfoil_mesh(48, 30, 10.0, 6.0, 4.0, 3.0, 3.0, 1.2,
+                                        0.1, 7)},
+      {"thin_rect", cm::make_rect_mesh(200, 6, 40.0, 0.5, 0.2, 9)},
+  };
+  std::size_t rim_misses = 0;
+  for (const auto& c : cases) {
+    cm::CascadeOptions opt;
+    opt.levels = 3;
+    const auto cascade = cm::build_cascade(c.mesh, make_field(c.mesh), opt);
+    for (std::size_t l = 0; l + 1 < cascade.level_count(); ++l) {
+      const auto& fine = cascade.levels[l].mesh;
+      const auto& coarse = cascade.levels[l + 1].mesh;
+      const cm::PointLocator locator(coarse);
+      std::vector<cm::Vec2> queries;
+      for (cm::VertexId v = 0; v < fine.vertex_count(); ++v) {
+        if (!locator.try_locate(fine.vertex(v))) {
+          queries.push_back(fine.vertex(v));
+        }
+      }
+      rim_misses += queries.size();
+      check(std::string(c.name) + " level " + std::to_string(l + 1), coarse,
+            std::move(queries));
+    }
+  }
+  EXPECT_GT(rim_misses, 0u);
+
+  // Bitwise ties: the frame's center is at distance exactly 1 from eight
+  // triangles; the scan and the ring search must both pick the lowest id.
+  const auto frame = make_square_frame();
+  EXPECT_EQ(nearest_by_scan(frame, {0.0, 0.0}).triangle, 2u);
+  check("square frame", frame, {});
 }
 
 // --------------------------------------------------------------- decimate --
