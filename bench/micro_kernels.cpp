@@ -105,6 +105,21 @@ static void BM_Decimate2x(benchmark::State& state) {
 }
 BENCHMARK(BM_Decimate2x)->Unit(benchmark::kMillisecond);
 
+// The write path's whole decimation: the paper-size XGC1 plane (~20.8k
+// vertices) cascaded to 4 levels at step 2, the shape perfbench's
+// write_campaign refactors on every write (18,200 collapses).
+static void BM_BuildCascadeXgc(benchmark::State& state) {
+  static const sim::Dataset ds = sim::make_xgc_dataset(sim::XgcOptions{});
+  mesh::CascadeOptions opt;
+  opt.levels = 4;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mesh::build_cascade(ds.mesh, ds.values, opt));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ds.mesh.vertex_count()));
+}
+BENCHMARK(BM_BuildCascadeXgc)->Unit(benchmark::kMillisecond);
+
 static void BM_PointLocation(benchmark::State& state) {
   const auto& ds = xgc_small();
   const mesh::PointLocator locator(ds.mesh);

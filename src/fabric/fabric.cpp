@@ -560,19 +560,23 @@ storage::IoResult Fabric::remote_read_one(std::size_t from_node,
   // against the live directory finds the new owner; only when the owner is
   // genuinely unreachable do we degrade to the replica.
   for (int attempt = 0; attempt < 2; ++attempt) {
-    if (loc->owner != from_node) {
-      Node* owner = node_ptr(loc->owner);
-      if (owner != nullptr &&
-          owner->alive.load(std::memory_order_relaxed)) {
-        try {
-          auto io = owner->hierarchy.read(key, out);
-          remote_reads_.fetch_add(1, std::memory_order_relaxed);
-          count_fabric("remote_reads");
-          return envelope(io, out.size());
-        } catch (const Error&) {
-          // Owner unreachable (killed mid-flight, or its copy faulted out
-          // after retries): re-resolve, then degrade to the replica owner.
+    Node* owner = node_ptr(loc->owner);
+    if (owner != nullptr && owner->alive.load(std::memory_order_relaxed)) {
+      try {
+        if (loc->owner == from_node) {
+          // Our local miss raced a migration onto this node: the copy is
+          // placed before commit_move names us owner, so it is here now.
+          // The replica the directory names may not be (repair_replicas
+          // runs after the moves), so serve the new primary locally.
+          return owner->hierarchy.read_own_tiers(key, out);
         }
+        auto io = owner->hierarchy.read(key, out);
+        remote_reads_.fetch_add(1, std::memory_order_relaxed);
+        count_fabric("remote_reads");
+        return envelope(io, out.size());
+      } catch (const Error&) {
+        // Owner unreachable (killed mid-flight, or its copy faulted out
+        // after retries): re-resolve, then degrade to the replica owner.
       }
     }
     const auto fresh = directory_.lookup(key);

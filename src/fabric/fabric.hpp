@@ -36,7 +36,8 @@
 // keep being served throughout — from the old owner until each chunk's
 // cutover, and from replicas during the copy window (PR 1's fallback is the
 // safety net); a resolution that races a cutover re-reads the directory and
-// retries the new owner before degrading.
+// retries the new owner before degrading — and when the cutover named the
+// reading node itself, it serves the copy the migration just placed there.
 //
 // Everything above the hierarchy — ProgressiveReader, ReadSession,
 // serve::QueryScheduler — works against a node unchanged; remote resolution

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -12,66 +14,158 @@ namespace canopus::mesh {
 
 namespace {
 
+/// Per-vertex id lists (adjacent vertices or incident triangles), one 64-byte
+/// block per vertex: a count, a spill index and 14 inline ids. A list that
+/// outgrows its block moves to a heap vector in `spills_` for good. Every
+/// mutation has std::vector semantics — push_back, swap-with-back erase of
+/// the first match, insert-if-absent and a stable remove_if — so each list
+/// holds its ids in exactly the order a std::vector per vertex would, and
+/// the collapse loop's iteration order (and with it the collapse sequence)
+/// does not depend on the layout.
+class IdLists {
+ public:
+  explicit IdLists(std::size_t n)
+      : blocks_(std::make_unique_for_overwrite<Block[]>(n)) {
+    // Only the headers: ids past a block's count are never read.
+    for (std::size_t v = 0; v < n; ++v) {
+      blocks_[v].count = 0;
+      blocks_[v].spill = kInline;
+    }
+  }
+
+  std::span<std::uint32_t> operator[](std::size_t v) {
+    Block& b = blocks_[v];
+    if (b.spill == kInline) return {b.ids, b.count};
+    return spills_[b.spill];
+  }
+  std::span<const std::uint32_t> operator[](std::size_t v) const {
+    const Block& b = blocks_[v];
+    if (b.spill == kInline) return {b.ids, b.count};
+    return spills_[b.spill];
+  }
+
+  bool contains(std::size_t v, std::uint32_t x) const {
+    const auto xs = (*this)[v];
+    return std::find(xs.begin(), xs.end(), x) != xs.end();
+  }
+
+  void push_back(std::size_t v, std::uint32_t x) {
+    Block& b = blocks_[v];
+    if (b.spill != kInline) {
+      spills_[b.spill].push_back(x);
+    } else if (b.count < kCapacity) {
+      b.ids[b.count++] = x;
+    } else {
+      auto& spill = spills_.emplace_back();
+      spill.reserve(2 * kCapacity);
+      spill.assign(b.ids, b.ids + b.count);
+      spill.push_back(x);
+      b.spill = static_cast<std::uint32_t>(spills_.size() - 1);
+    }
+  }
+
+  void insert_unique(std::size_t v, std::uint32_t x) {
+    if (!contains(v, x)) push_back(v, x);
+  }
+
+  /// Overwrites the first `x` with the last id and drops the last slot.
+  void erase(std::size_t v, std::uint32_t x) {
+    const auto xs = (*this)[v];
+    const auto it = std::find(xs.begin(), xs.end(), x);
+    if (it == xs.end()) return;
+    *it = xs.back();
+    shrink(v, xs.size() - 1);
+  }
+
+  /// Stable: survivors keep their relative order.
+  template <class Pred>
+  void remove_if(std::size_t v, Pred pred) {
+    const auto xs = (*this)[v];
+    const auto end = std::remove_if(xs.begin(), xs.end(), pred);
+    shrink(v, static_cast<std::size_t>(end - xs.begin()));
+  }
+
+  void clear(std::size_t v) { shrink(v, 0); }
+
+ private:
+  static constexpr std::uint32_t kCapacity = 14;
+  static constexpr std::uint32_t kInline = ~std::uint32_t{0};
+  struct alignas(64) Block {
+    std::uint32_t count;  // live ids while inline
+    std::uint32_t spill;  // index into spills_, or kInline
+    std::uint32_t ids[kCapacity];
+  };
+  static_assert(sizeof(Block) == 64, "one cache line per vertex");
+
+  void shrink(std::size_t v, std::size_t size) {
+    Block& b = blocks_[v];
+    if (b.spill == kInline) {
+      b.count = static_cast<std::uint32_t>(size);
+    } else {
+      spills_[b.spill].resize(size);
+    }
+  }
+
+  std::unique_ptr<Block[]> blocks_;
+  std::vector<std::vector<std::uint32_t>> spills_;
+};
+
 /// Mutable mesh scratch state for the collapse loop. Vertex slot `i` survives
 /// a collapse of edge (i, j) and is moved to the midpoint; slot `j` dies.
 struct Workspace {
+  explicit Workspace(const TriMesh& mesh)
+      : pos(mesh.vertices()),
+        vertex_alive(pos.size(), 1),
+        nbr(pos.size()),
+        tris(mesh.triangles()),
+        tri_alive(tris.size(), 1),
+        inc(pos.size()),
+        version(pos.size(), 0) {}
+
   std::vector<Vec2> pos;
   std::vector<double> val;
-  std::vector<bool> vertex_alive;
-  std::vector<std::vector<VertexId>> nbr;        // adjacent alive vertices
+  std::vector<std::uint8_t> vertex_alive;
+  IdLists nbr;                        // adjacent alive vertices
   std::vector<Triangle> tris;
-  std::vector<bool> tri_alive;
-  std::vector<std::vector<TriangleId>> inc;      // incident alive triangles
-  std::vector<std::uint32_t> version;            // bumped on any change at v
-
-  static void list_insert(std::vector<VertexId>& xs, VertexId v) {
-    if (std::find(xs.begin(), xs.end(), v) == xs.end()) xs.push_back(v);
-  }
-  static void list_erase(std::vector<VertexId>& xs, VertexId v) {
-    auto it = std::find(xs.begin(), xs.end(), v);
-    if (it != xs.end()) {
-      *it = xs.back();
-      xs.pop_back();
-    }
-  }
-  static void tri_list_erase(std::vector<TriangleId>& xs, TriangleId t) {
-    auto it = std::find(xs.begin(), xs.end(), t);
-    if (it != xs.end()) {
-      *it = xs.back();
-      xs.pop_back();
-    }
-  }
+  std::vector<std::uint8_t> tri_alive;
+  IdLists inc;                        // incident alive triangles
+  std::vector<std::uint32_t> version;  // bumped on any change at v
 };
 
 struct HeapEntry {
   double priority;
   VertexId a, b;
   std::uint32_t va_version, vb_version;
-  // Min-heap via reversed comparison in a max-priority_queue.
+  // Min-heap via reversed comparison in a max-heap.
   bool operator<(const HeapEntry& o) const { return priority > o.priority; }
 };
 
 class Decimator {
  public:
   Decimator(const TriMesh& mesh, const Field& values, const DecimateOptions& opt)
-      : opt_(opt), rng_(opt.seed) {
+      : opt_(opt), rng_(opt.seed), ws_(mesh) {
     CANOPUS_CHECK(values.size() == mesh.vertex_count(),
                   "field size does not match vertex count");
     CANOPUS_CHECK(opt.ratio >= 1.0, "decimation ratio must be >= 1");
-    ws_.pos = mesh.vertices();
     ws_.val = values;
-    ws_.vertex_alive.assign(ws_.pos.size(), true);
-    ws_.tris = mesh.triangles();
-    ws_.tri_alive.assign(ws_.tris.size(), true);
-    ws_.version.assign(ws_.pos.size(), 0);
-    ws_.nbr.assign(ws_.pos.size(), {});
-    ws_.inc.assign(ws_.pos.size(), {});
+    const std::size_t n = ws_.pos.size();
+    // One pass over the triangles fills both lists: incident triangles in
+    // ascending id, and each vertex's neighbour set, then sorted ascending —
+    // the lists a sorted unique edge list would give, without sorting all
+    // 3T half-edges globally.
     for (TriangleId t = 0; t < ws_.tris.size(); ++t) {
-      for (VertexId v : ws_.tris[t].v) ws_.inc[v].push_back(t);
+      const auto& tv = ws_.tris[t].v;
+      for (int k = 0; k < 3; ++k) {
+        ws_.inc.push_back(tv[k], t);
+        ws_.nbr.insert_unique(tv[k], tv[(k + 1) % 3]);
+        ws_.nbr.insert_unique(tv[k], tv[(k + 2) % 3]);
+      }
     }
-    for (const auto& e : mesh.edges()) {
-      ws_.nbr[e.a].push_back(e.b);
-      ws_.nbr[e.b].push_back(e.a);
+    std::size_t half_edges = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      const auto xs = ws_.nbr[v];
+      std::sort(xs.begin(), xs.end());
+      half_edges += xs.size();
     }
     // Scale-aware degeneracy threshold (squared area units).
     const auto box = mesh.bounds();
@@ -81,7 +175,14 @@ class Decimator {
       const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
       value_range_ = std::max(*hi - *lo, 1e-300);
     }
-    for (const auto& e : mesh.edges()) push_edge(e.a, e.b);
+    // Seed the heap in sorted (a, b), a < b edge order: the push order (and,
+    // for kRandom, the draw order) that fixes every later tie.
+    heap_.reserve(half_edges);  // the E seeds plus as many re-keys
+    for (VertexId a = 0; a < n; ++a) {
+      for (VertexId b : ws_.nbr[a]) {
+        if (b > a) push_edge(a, b);
+      }
+    }
   }
 
   DecimateResult run() {
@@ -91,8 +192,9 @@ class Decimator {
     std::size_t rejected = 0;
     while (static_cast<double>(cut) / static_cast<double>(n0) < cut_fraction_target &&
            !heap_.empty()) {
-      const HeapEntry e = heap_.top();
-      heap_.pop();
+      std::pop_heap(heap_.begin(), heap_.end());
+      const HeapEntry e = heap_.back();
+      heap_.pop_back();
       if (!entry_valid(e)) continue;
       if (try_collapse(e.a, e.b)) {
         ++cut;
@@ -123,38 +225,39 @@ class Decimator {
   }
 
   void push_edge(VertexId a, VertexId b) {
-    heap_.push(HeapEntry{edge_priority(a, b), a, b, ws_.version[a], ws_.version[b]});
+    heap_.push_back(HeapEntry{edge_priority(a, b), a, b, ws_.version[a], ws_.version[b]});
+    std::push_heap(heap_.begin(), heap_.end());
   }
 
   bool entry_valid(const HeapEntry& e) const {
     return ws_.vertex_alive[e.a] && ws_.vertex_alive[e.b] &&
            ws_.version[e.a] == e.va_version && ws_.version[e.b] == e.vb_version &&
-           std::find(ws_.nbr[e.a].begin(), ws_.nbr[e.a].end(), e.b) != ws_.nbr[e.a].end();
+           ws_.nbr.contains(e.a, e.b);
   }
 
   /// Link condition: the set of vertices adjacent to both endpoints must be
   /// exactly the opposite vertices of the triangles sharing the edge.
-  bool link_condition_ok(VertexId i, VertexId j) const {
-    std::vector<VertexId> opposite;
+  bool link_condition_ok(VertexId i, VertexId j) {
+    opposite_.clear();
     for (TriangleId t : ws_.inc[i]) {
       if (!ws_.tri_alive[t]) continue;
       const auto& tv = ws_.tris[t].v;
       const bool has_j = tv[0] == j || tv[1] == j || tv[2] == j;
       if (!has_j) continue;
       for (VertexId v : tv) {
-        if (v != i && v != j) opposite.push_back(v);
+        if (v != i && v != j) opposite_.push_back(v);
       }
     }
     std::size_t common = 0;
     for (VertexId n : ws_.nbr[i]) {
-      if (std::find(ws_.nbr[j].begin(), ws_.nbr[j].end(), n) != ws_.nbr[j].end()) {
+      if (ws_.nbr.contains(j, n)) {
         ++common;
-        if (std::find(opposite.begin(), opposite.end(), n) == opposite.end()) {
+        if (std::find(opposite_.begin(), opposite_.end(), n) == opposite_.end()) {
           return false;  // shared neighbor not across the edge -> pinch
         }
       }
     }
-    return common == opposite.size() && !opposite.empty();
+    return common == opposite_.size() && !opposite_.empty();
   }
 
   /// Checks every surviving triangle around i or j keeps positive area when
@@ -188,15 +291,13 @@ class Decimator {
       if (!ws_.tri_alive[t]) continue;
       const auto& tv = ws_.tris[t].v;
       if (tv[0] == j || tv[1] == j || tv[2] == j) {
-        ws_.tri_alive[t] = false;
+        ws_.tri_alive[t] = 0;
         for (VertexId v : tv) {
-          if (v != i) Workspace::tri_list_erase(ws_.inc[v], t);
+          if (v != i) ws_.inc.erase(v, t);
         }
       }
     }
-    ws_.inc[i].erase(std::remove_if(ws_.inc[i].begin(), ws_.inc[i].end(),
-                                    [&](TriangleId t) { return !ws_.tri_alive[t]; }),
-                     ws_.inc[i].end());
+    ws_.inc.remove_if(i, [&](TriangleId t) { return !ws_.tri_alive[t]; });
 
     // Rewire triangles that referenced only j.
     for (TriangleId t : ws_.inc[j]) {
@@ -204,24 +305,24 @@ class Decimator {
       for (VertexId& v : ws_.tris[t].v) {
         if (v == j) v = i;
       }
-      ws_.inc[i].push_back(t);
+      ws_.inc.push_back(i, t);
     }
-    ws_.inc[j].clear();
+    ws_.inc.clear(j);
 
     // Merge adjacency: neighbors of j become neighbors of i.
     for (VertexId n : ws_.nbr[j]) {
       if (n == i) continue;
-      Workspace::list_erase(ws_.nbr[n], j);
-      Workspace::list_insert(ws_.nbr[n], i);
-      Workspace::list_insert(ws_.nbr[i], n);
+      ws_.nbr.erase(n, j);
+      ws_.nbr.insert_unique(n, i);
+      ws_.nbr.insert_unique(i, n);
     }
-    Workspace::list_erase(ws_.nbr[i], j);
-    ws_.nbr[j].clear();
+    ws_.nbr.erase(i, j);
+    ws_.nbr.clear(j);
 
     // Move i to the midpoint, average the data (NewData = mean).
     ws_.pos[i] = m;
     ws_.val[i] = (ws_.val[i] + ws_.val[j]) * 0.5;
-    ws_.vertex_alive[j] = false;
+    ws_.vertex_alive[j] = 0;
     collapse_log_.emplace_back(i, j);
 
     // Invalidate stale heap entries and re-key every edge incident to i.
@@ -270,7 +371,11 @@ class Decimator {
   DecimateOptions opt_;
   util::Rng rng_;
   Workspace ws_;
-  std::priority_queue<HeapEntry> heap_;
+  // A binary heap driven by std::push_heap/std::pop_heap, the calls
+  // std::priority_queue is specified to make, so entries of equal priority
+  // pop in exactly priority_queue's order.
+  std::vector<HeapEntry> heap_;
+  std::vector<VertexId> opposite_;  // link_condition_ok scratch
   std::vector<std::pair<VertexId, VertexId>> collapse_log_;
   double min_area2_ = 0.0;
   double value_range_ = 1.0;

@@ -18,43 +18,17 @@ TriMesh::TriMesh(std::vector<Vec2> vertices, std::vector<Triangle> triangles)
   }
 }
 
-const std::vector<Edge>& TriMesh::edges() const {
-  if (!edges_built_) {
-    edges_.clear();
-    edges_.reserve(triangles_.size() * 3);
-    for (const auto& t : triangles_) {
-      edges_.emplace_back(t.v[0], t.v[1]);
-      edges_.emplace_back(t.v[1], t.v[2]);
-      edges_.emplace_back(t.v[2], t.v[0]);
-    }
-    std::sort(edges_.begin(), edges_.end());
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-    edges_built_ = true;
+std::vector<Edge> TriMesh::edges() const {
+  std::vector<Edge> edges;
+  edges.reserve(triangles_.size() * 3);
+  for (const auto& t : triangles_) {
+    edges.emplace_back(t.v[0], t.v[1]);
+    edges.emplace_back(t.v[1], t.v[2]);
+    edges.emplace_back(t.v[2], t.v[0]);
   }
-  return edges_;
-}
-
-const std::vector<std::vector<VertexId>>& TriMesh::vertex_neighbors() const {
-  if (!neighbors_built_) {
-    neighbors_.assign(vertices_.size(), {});
-    for (const auto& e : edges()) {
-      neighbors_[e.a].push_back(e.b);
-      neighbors_[e.b].push_back(e.a);
-    }
-    neighbors_built_ = true;
-  }
-  return neighbors_;
-}
-
-const std::vector<std::vector<TriangleId>>& TriMesh::vertex_triangles() const {
-  if (!vertex_tris_built_) {
-    vertex_tris_.assign(vertices_.size(), {});
-    for (TriangleId t = 0; t < triangles_.size(); ++t) {
-      for (VertexId v : triangles_[t].v) vertex_tris_[v].push_back(t);
-    }
-    vertex_tris_built_ = true;
-  }
-  return vertex_tris_;
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
 }
 
 Aabb TriMesh::bounds() const {

@@ -348,6 +348,16 @@ IoResult StorageHierarchy::read_uncached(const std::string& key,
   return remote_->remote_read(key, out);
 }
 
+IoResult StorageHierarchy::read_own_tiers(const std::string& key,
+                                          util::Bytes& out) const {
+  std::scoped_lock lock(mu_);
+  const auto where = find(key);
+  if (!where.has_value()) {
+    throw TierIoError("object '" + key + "' not on this node's tiers");
+  }
+  return read_local(*where, key, out);
+}
+
 IoResult StorageHierarchy::read_local(std::size_t where, const std::string& key,
                                       util::Bytes& out) const {
   std::scoped_lock lock(mu_);

@@ -212,6 +212,13 @@ class StorageHierarchy {
   /// returned match the recorded object size.
   IoResult read(const std::string& key, util::Bytes& out) const;
 
+  /// read() restricted to this hierarchy's own tiers: the same retry loop
+  /// and replica fallback, but no block cache and no remote resolution.
+  /// Throws TierIoError when no local tier holds the key. The fabric serves
+  /// a node's own copy with it from inside that node's remote resolution,
+  /// where read() would re-enter the cache fill already in flight.
+  IoResult read_own_tiers(const std::string& key, util::Bytes& out) const;
+
   /// Batched submission seam for the async I/O engine (src/io): reads every
   /// key as one aggregated submission, returning per-op results in key order.
   /// Semantics per op are identical to read() — same retry/backoff loop,

@@ -487,6 +487,47 @@ TEST(ElasticFabric, DetachUnderRacingReadsAndCorruptionLosesNothing) {
   }
 }
 
+TEST(ElasticFabric, MissRacingCutoverOntoReaderServesItsNewCopy) {
+  // The window behind DetachUnderRacingReadsAndCorruptionLosesNothing's rare
+  // degraded step, replayed step by step: a reader on the new owner misses
+  // locally, then the migration places the chunk there and commits the
+  // cutover, and only then does the fabric resolve the miss. The directory
+  // now names the reader as owner, and replica repair has not placed the
+  // copy on the ring successor yet (repair_replicas drops stale copies before
+  // it places new ones, so no replica exists anywhere). The resolution must
+  // serve the reader's own new primary instead of degrading.
+  Staged data;
+  cf::FabricOptions fo;
+  fo.nodes = 3;
+  cf::Fabric fabric(fo, roomy_node_tiers());
+  fabric.import_container(data.staging, "d.bp");
+
+  // Drive the directory by hand so the migration steps can be interleaved
+  // with the read.
+  const auto plan = fabric.directory().detach_node(0);
+  ASSERT_FALSE(plan.moves.empty());
+  const auto& mv = plan.moves.front();
+  Bytes want;
+  fabric.node(mv.from).read(mv.key, want);
+  fabric.node(mv.to).place(mv.key, want);
+  fabric.directory().commit_move(mv.key, mv.to);
+  for (std::size_t i = 0; i < fabric.node_count(); ++i) {
+    fabric.node(i).erase(cs::StorageHierarchy::replica_key(mv.key));
+  }
+
+  // The reader's local miss now reaches the fabric, exactly as
+  // StorageHierarchy::read forwards it.
+  auto* remote = fabric.node(mv.to).remote_store();
+  ASSERT_NE(remote, nullptr);
+  Bytes got;
+  cs::IoResult io;
+  ASSERT_NO_THROW(io = remote->remote_read(mv.key, got)) << mv.key;
+  EXPECT_EQ(got, want);
+  EXPECT_FALSE(io.from_replica);
+  EXPECT_EQ(fabric.stats().failed_remote_reads, 0u);
+  EXPECT_EQ(fabric.stats().replica_fallbacks, 0u);
+}
+
 // ------------------------------------------- serve: routing after topology
 
 TEST(ElasticServe, QueryAfterDetachNeverRoutesToRemovedNode) {

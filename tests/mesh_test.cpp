@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <numeric>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -107,10 +109,22 @@ TEST(TriMesh, NeighborsAndIncidence) {
   const std::vector<cm::Vec2> verts{{0, 0}, {1, 0}, {1, 1}, {0, 1}};
   const std::vector<cm::Triangle> tris{{{0, 1, 2}}, {{0, 2, 3}}};
   const cm::TriMesh mesh(verts, tris);
-  EXPECT_EQ(mesh.vertex_neighbors()[0].size(), 3u);  // 1, 2, 3
-  EXPECT_EQ(mesh.vertex_neighbors()[1].size(), 2u);  // 0, 2
-  EXPECT_EQ(mesh.vertex_triangles()[0].size(), 2u);
-  EXPECT_EQ(mesh.vertex_triangles()[1].size(), 1u);
+  const auto edges = mesh.edges();
+  auto degree = [&](cm::VertexId v) {
+    return std::count_if(edges.begin(), edges.end(),
+                         [&](const cm::Edge& e) { return e.a == v || e.b == v; });
+  };
+  auto incident = [&](cm::VertexId v) {
+    return std::count_if(mesh.triangles().begin(), mesh.triangles().end(),
+                         [&](const cm::Triangle& t) {
+                           return std::find(t.v.begin(), t.v.end(), v) != t.v.end();
+                         });
+  };
+  EXPECT_EQ(degree(0), 3);  // 1, 2, 3
+  EXPECT_EQ(degree(1), 2);  // 0, 2
+  EXPECT_EQ(incident(0), 2);
+  EXPECT_EQ(incident(1), 1);
+  EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
 }
 
 TEST(TriMesh, RejectsBadTriangles) {
@@ -495,6 +509,329 @@ TEST(Decimate, GradientPriorityKeepsHighGradientRegions) {
   const auto rp = cm::decimate(mesh, f, plain);
   const auto rg = cm::decimate(mesh, f, grad);
   EXPECT_GE(near_bump_count(rg.mesh), near_bump_count(rp.mesh));
+}
+
+namespace {
+
+namespace reference {
+
+// Algorithm 1 in its plainest layout: one std::vector per vertex for the
+// adjacency lists, searched with std::find, a std::priority_queue, and heap
+// seeding from the sorted TriMesh::edges(). The library's flat-workspace
+// decimator must reproduce its collapse sequence bit for bit
+// (Decimate.MatchesReferenceDecimator).
+struct Workspace {
+  std::vector<cm::Vec2> pos;
+  std::vector<double> val;
+  std::vector<bool> vertex_alive;
+  std::vector<std::vector<cm::VertexId>> nbr;
+  std::vector<cm::Triangle> tris;
+  std::vector<bool> tri_alive;
+  std::vector<std::vector<cm::TriangleId>> inc;
+  std::vector<std::uint32_t> version;
+
+  static void list_insert(std::vector<cm::VertexId>& xs, cm::VertexId v) {
+    if (std::find(xs.begin(), xs.end(), v) == xs.end()) xs.push_back(v);
+  }
+  static void list_erase(std::vector<std::uint32_t>& xs, std::uint32_t v) {
+    auto it = std::find(xs.begin(), xs.end(), v);
+    if (it != xs.end()) {
+      *it = xs.back();
+      xs.pop_back();
+    }
+  }
+};
+
+struct HeapEntry {
+  double priority;
+  cm::VertexId a, b;
+  std::uint32_t va_version, vb_version;
+  bool operator<(const HeapEntry& o) const { return priority > o.priority; }
+};
+
+class Decimator {
+ public:
+  Decimator(const cm::TriMesh& mesh, const cm::Field& values,
+            const cm::DecimateOptions& opt)
+      : opt_(opt), rng_(opt.seed) {
+    ws_.pos = mesh.vertices();
+    ws_.val = values;
+    ws_.vertex_alive.assign(ws_.pos.size(), true);
+    ws_.tris = mesh.triangles();
+    ws_.tri_alive.assign(ws_.tris.size(), true);
+    ws_.version.assign(ws_.pos.size(), 0);
+    ws_.nbr.assign(ws_.pos.size(), {});
+    ws_.inc.assign(ws_.pos.size(), {});
+    for (cm::TriangleId t = 0; t < ws_.tris.size(); ++t) {
+      for (cm::VertexId v : ws_.tris[t].v) ws_.inc[v].push_back(t);
+    }
+    const auto edges = mesh.edges();
+    for (const auto& e : edges) {
+      ws_.nbr[e.a].push_back(e.b);
+      ws_.nbr[e.b].push_back(e.a);
+    }
+    const auto box = mesh.bounds();
+    const double diag2 = box.width() * box.width() + box.height() * box.height();
+    min_area2_ = 1e-14 * diag2;
+    if (opt.priority == cm::EdgePriority::kGradientWeighted) {
+      const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+      value_range_ = std::max(*hi - *lo, 1e-300);
+    }
+    for (const auto& e : edges) push_edge(e.a, e.b);
+  }
+
+  cm::DecimateResult run() {
+    const std::size_t n0 = ws_.pos.size();
+    const double cut_fraction_target = 1.0 - 1.0 / opt_.ratio;
+    std::size_t cut = 0;
+    std::size_t rejected = 0;
+    while (static_cast<double>(cut) / static_cast<double>(n0) < cut_fraction_target &&
+           !heap_.empty()) {
+      const HeapEntry e = heap_.top();
+      heap_.pop();
+      if (!entry_valid(e)) continue;
+      if (try_collapse(e.a, e.b)) {
+        ++cut;
+      } else {
+        ++rejected;
+      }
+    }
+    cm::DecimateResult r = compact();
+    r.achieved_ratio =
+        static_cast<double>(n0) / static_cast<double>(r.mesh.vertex_count());
+    r.collapses = cut;
+    r.rejected = rejected;
+    return r;
+  }
+
+ private:
+  double edge_priority(cm::VertexId a, cm::VertexId b) {
+    const double len = cm::distance(ws_.pos[a], ws_.pos[b]);
+    switch (opt_.priority) {
+      case cm::EdgePriority::kShortestFirst:
+        return len;
+      case cm::EdgePriority::kRandom:
+        return rng_.uniform();
+      case cm::EdgePriority::kGradientWeighted:
+        return len * (1.0 + opt_.gradient_weight *
+                                std::abs(ws_.val[a] - ws_.val[b]) / value_range_);
+    }
+    return 0.0;
+  }
+
+  void push_edge(cm::VertexId a, cm::VertexId b) {
+    heap_.push(HeapEntry{edge_priority(a, b), a, b, ws_.version[a], ws_.version[b]});
+  }
+
+  bool entry_valid(const HeapEntry& e) const {
+    return ws_.vertex_alive[e.a] && ws_.vertex_alive[e.b] &&
+           ws_.version[e.a] == e.va_version && ws_.version[e.b] == e.vb_version &&
+           std::find(ws_.nbr[e.a].begin(), ws_.nbr[e.a].end(), e.b) !=
+               ws_.nbr[e.a].end();
+  }
+
+  bool link_condition_ok(cm::VertexId i, cm::VertexId j) const {
+    std::vector<cm::VertexId> opposite;
+    for (cm::TriangleId t : ws_.inc[i]) {
+      if (!ws_.tri_alive[t]) continue;
+      const auto& tv = ws_.tris[t].v;
+      if (tv[0] != j && tv[1] != j && tv[2] != j) continue;
+      for (cm::VertexId v : tv) {
+        if (v != i && v != j) opposite.push_back(v);
+      }
+    }
+    std::size_t common = 0;
+    for (cm::VertexId n : ws_.nbr[i]) {
+      if (std::find(ws_.nbr[j].begin(), ws_.nbr[j].end(), n) != ws_.nbr[j].end()) {
+        ++common;
+        if (std::find(opposite.begin(), opposite.end(), n) == opposite.end()) {
+          return false;
+        }
+      }
+    }
+    return common == opposite.size() && !opposite.empty();
+  }
+
+  bool geometry_ok(cm::VertexId i, cm::VertexId j, cm::Vec2 m) const {
+    auto survives_ok = [&](cm::VertexId endpoint) {
+      for (cm::TriangleId t : ws_.inc[endpoint]) {
+        if (!ws_.tri_alive[t]) continue;
+        const auto& tv = ws_.tris[t].v;
+        const bool has_i = tv[0] == i || tv[1] == i || tv[2] == i;
+        const bool has_j = tv[0] == j || tv[1] == j || tv[2] == j;
+        if (has_i && has_j) continue;
+        cm::Vec2 p[3];
+        for (int k = 0; k < 3; ++k) {
+          p[k] = (tv[k] == i || tv[k] == j) ? m : ws_.pos[tv[k]];
+        }
+        if (cm::signed_area2(p[0], p[1], p[2]) <= min_area2_) return false;
+      }
+      return true;
+    };
+    return survives_ok(i) && survives_ok(j);
+  }
+
+  bool try_collapse(cm::VertexId i, cm::VertexId j) {
+    if (!link_condition_ok(i, j)) return false;
+    const cm::Vec2 m = (ws_.pos[i] + ws_.pos[j]) * 0.5;
+    if (!geometry_ok(i, j, m)) return false;
+    for (cm::TriangleId t : ws_.inc[i]) {
+      if (!ws_.tri_alive[t]) continue;
+      const auto& tv = ws_.tris[t].v;
+      if (tv[0] == j || tv[1] == j || tv[2] == j) {
+        ws_.tri_alive[t] = false;
+        for (cm::VertexId v : tv) {
+          if (v != i) Workspace::list_erase(ws_.inc[v], t);
+        }
+      }
+    }
+    ws_.inc[i].erase(std::remove_if(ws_.inc[i].begin(), ws_.inc[i].end(),
+                                    [&](cm::TriangleId t) { return !ws_.tri_alive[t]; }),
+                     ws_.inc[i].end());
+    for (cm::TriangleId t : ws_.inc[j]) {
+      if (!ws_.tri_alive[t]) continue;
+      for (cm::VertexId& v : ws_.tris[t].v) {
+        if (v == j) v = i;
+      }
+      ws_.inc[i].push_back(t);
+    }
+    ws_.inc[j].clear();
+    for (cm::VertexId n : ws_.nbr[j]) {
+      if (n == i) continue;
+      Workspace::list_erase(ws_.nbr[n], j);
+      Workspace::list_insert(ws_.nbr[n], i);
+      Workspace::list_insert(ws_.nbr[i], n);
+    }
+    Workspace::list_erase(ws_.nbr[i], j);
+    ws_.nbr[j].clear();
+    ws_.pos[i] = m;
+    ws_.val[i] = (ws_.val[i] + ws_.val[j]) * 0.5;
+    ws_.vertex_alive[j] = false;
+    collapse_log_.emplace_back(i, j);
+    ++ws_.version[i];
+    ++ws_.version[j];
+    for (cm::VertexId n : ws_.nbr[i]) push_edge(i, n);
+    return true;
+  }
+
+  cm::DecimateResult compact() const {
+    std::vector<cm::VertexId> remap(ws_.pos.size(), cm::kInvalidVertex);
+    std::vector<cm::Vec2> vertices;
+    cm::Field values;
+    auto has_live_triangle = [&](cm::VertexId v) {
+      for (cm::TriangleId t : ws_.inc[v]) {
+        if (ws_.tri_alive[t]) return true;
+      }
+      return false;
+    };
+    std::vector<cm::VertexId> survivors;
+    for (cm::VertexId v = 0; v < ws_.pos.size(); ++v) {
+      if (ws_.vertex_alive[v] && has_live_triangle(v)) {
+        remap[v] = static_cast<cm::VertexId>(vertices.size());
+        vertices.push_back(ws_.pos[v]);
+        values.push_back(ws_.val[v]);
+        survivors.push_back(v);
+      }
+    }
+    std::vector<cm::Triangle> tris;
+    for (cm::TriangleId t = 0; t < ws_.tris.size(); ++t) {
+      if (!ws_.tri_alive[t]) continue;
+      cm::Triangle tri = ws_.tris[t];
+      for (cm::VertexId& v : tri.v) v = remap[v];
+      tris.push_back(tri);
+    }
+    cm::DecimateResult r;
+    r.mesh = cm::TriMesh(std::move(vertices), std::move(tris));
+    r.values = std::move(values);
+    r.collapse_log = collapse_log_;
+    r.survivor_slots = std::move(survivors);
+    return r;
+  }
+
+  cm::DecimateOptions opt_;
+  cu::Rng rng_;
+  Workspace ws_;
+  std::priority_queue<HeapEntry> heap_;
+  std::vector<std::pair<cm::VertexId, cm::VertexId>> collapse_log_;
+  double min_area2_ = 0.0;
+  double value_range_ = 1.0;
+};
+
+}  // namespace reference
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+}  // namespace
+
+TEST(Decimate, MatchesReferenceDecimator) {
+  // Exactness oracle: the flat-workspace decimator must make the same
+  // collapses in the same order as the reference above, on structured meshes
+  // (bulk exact length ties), jittered and shuffled ones, a disk whose centre
+  // fan outgrows a vertex's inline list, a holed airfoil and a thin 80:1
+  // strip, for every priority and two ratios.
+  struct Case {
+    std::string name;
+    cm::TriMesh mesh;
+  };
+  std::vector<Case> cases = {
+      {"rect", cm::make_rect_mesh(24, 24, 1.0, 1.0)},
+      {"jittered_rect", cm::make_rect_mesh(24, 24, 1.0, 1.0, 0.3, 5)},
+      {"annulus", cm::make_annulus_mesh(8, 48, 0.5, 1.0, 0.15, 2)},
+      {"disk", cm::make_disk_mesh(6, 40, 1.0, 0.1, 5)},
+      {"airfoil", cm::make_airfoil_mesh(32, 20, 10.0, 6.0, 4.0, 3.0, 3.0, 1.2,
+                                        0.1, 7)},
+      {"thin_rect", cm::make_rect_mesh(200, 6, 40.0, 0.5, 0.2, 9)},
+  };
+  const std::size_t unshuffled = cases.size();
+  for (std::size_t c = 0; c < unshuffled; ++c) {
+    cases.push_back({"shuffled_" + cases[c].name,
+                     cm::shuffle_vertices(cases[c].mesh, 40 + c)});
+  }
+  const cm::EdgePriority priorities[] = {cm::EdgePriority::kShortestFirst,
+                                         cm::EdgePriority::kRandom,
+                                         cm::EdgePriority::kGradientWeighted};
+  for (const auto& c : cases) {
+    for (const auto priority : priorities) {
+      for (const double ratio : {2.0, 4.0}) {
+        const std::string ctx = c.name + " priority " +
+                                std::to_string(static_cast<int>(priority)) +
+                                " ratio " + std::to_string(ratio);
+        cm::CascadeOptions opt;
+        opt.levels = 3;
+        opt.step = ratio;
+        opt.decimate.priority = priority;
+        std::vector<cm::DecimateResult> stats;
+        const auto cascade =
+            cm::build_cascade(c.mesh, make_field(c.mesh), opt, &stats);
+        ASSERT_EQ(cascade.level_count(), 3u) << ctx;
+        ASSERT_EQ(stats.size(), 2u) << ctx;
+
+        cm::DecimateOptions step = opt.decimate;
+        step.ratio = ratio;
+        for (std::size_t l = 1; l < 3; ++l) {
+          const auto& prev = cascade.levels[l - 1];
+          const auto want =
+              reference::Decimator(prev.mesh, prev.values, step).run();
+          const auto& got = cascade.levels[l];
+          const std::string at = ctx + " level " + std::to_string(l);
+          ASSERT_EQ(got.mesh.vertex_count(), want.mesh.vertex_count()) << at;
+          for (cm::VertexId v = 0; v < want.mesh.vertex_count(); ++v) {
+            const auto p = got.mesh.vertex(v);
+            const auto q = want.mesh.vertex(v);
+            ASSERT_EQ(bits(p.x), bits(q.x)) << at;
+            ASSERT_EQ(bits(p.y), bits(q.y)) << at;
+            ASSERT_EQ(bits(got.values[v]), bits(want.values[v])) << at;
+          }
+          ASSERT_TRUE(got.mesh.triangles() == want.mesh.triangles()) << at;
+          const auto& pass = stats[l - 1];
+          EXPECT_EQ(pass.collapse_log, want.collapse_log) << at;
+          EXPECT_EQ(pass.survivor_slots, want.survivor_slots) << at;
+          EXPECT_EQ(pass.collapses, want.collapses) << at;
+          EXPECT_EQ(pass.rejected, want.rejected) << at;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- cascade --
