@@ -116,10 +116,9 @@ struct PipelineOptions {
   // their own threads; the reported row is the mean per-session cost (and
   // the counter columns the totals). 1 keeps the single-reader protocol.
   std::size_t sessions = 1;
-  // Async I/O engine (--io-depth / --io-batch): depth > 1 routes each
-  // reader's delta fetches through an io::IoRing that keeps `io_depth` tier
-  // reads in flight (submitted to the hierarchy in batches of `io_batch`)
-  // and decodes each chunk as its completion lands. Results stay
+  // Async I/O engine (--io-depth / --io-batch): every reader's delta fetches
+  // go through an io::IoRing; depth > 1 keeps `io_depth` tier reads in
+  // flight (submitted to the hierarchy in batches of `io_batch`). Results stay
   // bitwise-identical to the blocking path; the io(s) column then reports
   // the overlapped makespan instead of the serial sum. Needs delta_chunks
   // > 1 to have anything to overlap.

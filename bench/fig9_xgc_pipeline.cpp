@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   // the next-level retrieval as K concurrent ReadSessions (mean per-session
   // cost reported). See bench/concurrent_readers for the dedicated study.
   bench::session_flags(cli, opt);
-  // --io-depth=D routes delta fetches through the async engine (D reads in
-  // flight, completion-driven decode); --delta-chunks sets the write-side
+  // --io-depth=D keeps D delta reads in flight in the async engine;
+  // --delta-chunks sets the write-side
   // chunking that gives it parallelism. --io-ab runs the acceptance A/B.
   bench::io_flags(cli, opt);
   // --trace-out=trace.json records spans + metrics and exports a Chrome trace.

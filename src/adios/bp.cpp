@@ -63,6 +63,17 @@ BlockRecord BlockRecord::deserialize(util::ByteReader& in) {
   return r;
 }
 
+ReadTiming read_timing(const storage::IoResult& io) {
+  ReadTiming t;
+  t.io_sim_seconds = io.sim_seconds;
+  t.io_wall_seconds = io.wall_seconds;
+  t.bytes_read = io.bytes;
+  t.retries = io.retries;
+  t.corruptions = io.corruptions;
+  t.from_replica = io.from_replica;
+  return t;
+}
+
 std::vector<std::uint32_t> VarInfo::levels(BlockKind kind) const {
   std::vector<std::uint32_t> out;
   for (const auto& b : blocks) {
@@ -300,13 +311,7 @@ BpReader::RawChunk BpReader::fetch_chunk(const std::string& var, BlockKind kind,
   CANOPUS_CHECK(r.codec != "none", "block is opaque; use read_opaque");
   RawChunk raw;
   raw.record = r;
-  const auto io = hierarchy_.read(r.object_key, raw.payload);
-  raw.io.io_sim_seconds = io.sim_seconds;
-  raw.io.io_wall_seconds = io.wall_seconds;
-  raw.io.bytes_read = io.bytes;
-  raw.io.retries = io.retries;
-  raw.io.corruptions = io.corruptions;
-  raw.io.from_replica = io.from_replica;
+  raw.io = read_timing(hierarchy_.read(r.object_key, raw.payload));
   return raw;
 }
 
@@ -341,14 +346,7 @@ util::Bytes BpReader::read_opaque(const std::string& var, BlockKind kind,
   const auto& r = find_record(var, kind, level, 0);
   util::Bytes payload;
   const auto io = hierarchy_.read(r.object_key, payload);
-  if (timing) {
-    timing->io_sim_seconds = io.sim_seconds;
-    timing->io_wall_seconds = io.wall_seconds;
-    timing->bytes_read = io.bytes;
-    timing->retries = io.retries;
-    timing->corruptions = io.corruptions;
-    timing->from_replica = io.from_replica;
-  }
+  if (timing) *timing = read_timing(io);
   return payload;
 }
 

@@ -82,6 +82,9 @@ struct ReadTiming {
   bool from_replica = false;      // served by a cross-tier replica copy
 };
 
+/// The I/O part of a ReadTiming (decompression left at zero) of one tier read.
+ReadTiming read_timing(const storage::IoResult& io);
+
 /// Timing breakdown of a write: compression (wall) vs tier I/O (simulated).
 struct WriteTiming {
   double compress_seconds = 0.0;

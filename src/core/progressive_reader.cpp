@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <exception>
+#include <numeric>
 #include <utility>
 
 #include "core/delta.hpp"
@@ -37,20 +38,38 @@ std::string to_string(RefineStatus status) {
 }
 
 namespace {
-/// Folds one block read's timing (including the hierarchy's robustness
-/// counters) into the step accumulator.
-void fold(const adios::ReadTiming& t, RetrievalTimings& step) {
-  step.io_seconds += t.io_sim_seconds;
-  step.decompress_seconds += t.decompress_seconds;
+/// Folds one read's bytes and robustness counters into the step accumulator.
+void count(const adios::ReadTiming& t, RetrievalTimings& step) {
   step.bytes_read += t.bytes_read;
   step.retries += t.retries;
   step.corruptions_detected += t.corruptions;
   if (t.from_replica) ++step.replica_reads;
 }
 
-/// Spatially permuted (chunked) deltas are stored in Morton order; scatter
-/// them back to vertex order. The scatter targets are a permutation, so the
-/// pool fan-out writes disjoint entries and the result is order-independent.
+/// Folds one block read's timing (including the hierarchy's robustness
+/// counters) into the step accumulator.
+void fold(const adios::ReadTiming& t, RetrievalTimings& step) {
+  step.io_seconds += t.io_sim_seconds;
+  step.decompress_seconds += t.decompress_seconds;
+  count(t, step);
+}
+
+/// Charges fetched delta chunks to the step: each read's counters, and on
+/// the simulated clock the reads' makespan on `depth` overlapped lanes,
+/// added onto what the step was already charged. At depth 1 that is the
+/// ordered per-read sum, bit-identical to a serial per-chunk fold even when
+/// a backfill charged the same step first.
+void charge(const std::vector<adios::BpReader::RawChunk>& chunks,
+            std::uint32_t depth, RetrievalTimings& step) {
+  std::vector<double> costs;
+  costs.reserve(chunks.size());
+  for (const auto& rc : chunks) {
+    count(rc.io, step);
+    costs.push_back(rc.io.io_sim_seconds);
+  }
+  step.io_seconds = io::overlap_makespan(costs, depth, step.io_seconds);
+}
+
 /// RMS of a delta field. Permutation-invariant, so equally valid on the
 /// Morton storage order and the vertex order.
 double rms_of(const mesh::Field& delta) {
@@ -60,6 +79,9 @@ double rms_of(const mesh::Field& delta) {
   return std::sqrt(sum2 / static_cast<double>(delta.size()));
 }
 
+/// Spatially permuted (chunked) deltas are stored in Morton order; scatter
+/// them back to vertex order. The scatter targets are a permutation, so the
+/// pool fan-out writes disjoint entries and the result is order-independent.
 mesh::Field unpermute_delta(const mesh::Field& stored,
                             const std::vector<mesh::VertexId>& order,
                             util::ThreadPool& pool) {
@@ -155,67 +177,51 @@ double ProgressiveReader::decimation_ratio() const {
          static_cast<double>(values_.size());
 }
 
-ProgressiveReader::PrefetchedLevel ProgressiveReader::fetch_level(
+std::vector<std::uint32_t> ProgressiveReader::all_chunks(
     std::uint32_t level) const {
-  // Chunks are issued in chunk order whether blocking or ring-backed (the
-  // ring executes its FIFO strictly in submission order): the hierarchy sees
-  // the same read sequence as the serial reader, which keeps tier access
-  // accounting — and the fault injector's seeded decision stream —
-  // reproducible.
+  const auto info = reader_.inq_var(var_);
+  const auto* first = info.block(adios::BlockKind::kDelta, level);
+  std::vector<std::uint32_t> ids(first != nullptr ? first->chunk_count : 0);
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
+}
+
+ProgressiveReader::FetchedChunks ProgressiveReader::fetch_chunks(
+    std::uint32_t level, const std::vector<std::uint32_t>& ids) const {
+  // The ring executes its FIFO strictly in submission order, so the
+  // hierarchy sees the reads in the order the caller listed them. That keeps
+  // tier access accounting (and the fault injector's seeded decision stream)
+  // reproducible for any depth.
   // The span runs on whichever thread fetches — the caller for a synchronous
   // fetch, a pool worker for the read-ahead — so the trace shows which reads
   // were overlapped.
-  CANOPUS_SPAN("read.fetch", {{"level", level}});
-  PrefetchedLevel out;
+  CANOPUS_SPAN("read.fetch", {{"level", level}, {"chunks", ids.size()}});
+  FetchedChunks out;
   out.level = level;
   try {
     const auto info = reader_.inq_var(var_);
-    const auto* first = info.block(adios::BlockKind::kDelta, level);
-    CANOPUS_CHECK(first != nullptr, "delta block missing");
-    out.chunked = first->chunk_count > 1;
-    out.chunks.reserve(first->chunk_count);
-    if (io_config_.enabled() && first->chunk_count > 1) {
-      // Ring-backed read-ahead: same ops in the same order, but up to
-      // io.depth in flight; the overlapped makespan replaces the serial sum
-      // when the consuming step charges this level's I/O.
-      std::vector<const adios::BlockRecord*> recs(first->chunk_count, nullptr);
-      for (const auto& b : info.blocks) {
-        if (b.kind == adios::BlockKind::kDelta && b.level == level &&
-            b.chunk < recs.size()) {
-          recs[b.chunk] = &b;
-        }
-      }
-      io::IoRing ring(hierarchy_, io_config_, &pool());
-      for (const auto* r : recs) {
-        CANOPUS_CHECK(r != nullptr, "delta chunk record missing");
-        CANOPUS_CHECK(r->codec != "none", "block is opaque; use read_opaque");
-        ring.submit(r->object_key);
-      }
-      std::vector<double> costs;
-      costs.reserve(recs.size());
-      for (std::size_t c = 0; c < recs.size(); ++c) {
-        auto comp = ring.wait_next();
-        // First failed chunk stops the fetch, like the serial loop; the
-        // ring's destructor drops the not-yet-executed remainder.
-        if (comp.error) std::rethrow_exception(comp.error);
-        adios::BpReader::RawChunk raw;
-        raw.record = *recs[c];
-        raw.payload = std::move(comp.payload);
-        raw.io.io_sim_seconds = comp.io.sim_seconds;
-        raw.io.io_wall_seconds = comp.io.wall_seconds;
-        raw.io.bytes_read = comp.io.bytes;
-        raw.io.retries = comp.io.retries;
-        raw.io.corruptions = comp.io.corruptions;
-        raw.io.from_replica = comp.io.from_replica;
-        costs.push_back(comp.io.sim_seconds);
-        out.chunks.push_back(std::move(raw));
-      }
-      out.overlapped_io_seconds = io::overlap_makespan(costs, io_config_.depth);
-    } else {
-      for (std::uint32_t c = 0; c < first->chunk_count; ++c) {
-        out.chunks.push_back(
-            reader_.fetch_chunk(var_, adios::BlockKind::kDelta, level, c));
-      }
+    std::vector<const adios::BlockRecord*> records;  // indexed by chunk id
+    for (const auto& b : info.blocks) {
+      if (b.kind != adios::BlockKind::kDelta || b.level != level) continue;
+      if (b.chunk >= records.size()) records.resize(b.chunk + 1, nullptr);
+      records[b.chunk] = &b;
+    }
+    io::IoRing ring(hierarchy_, io_config_, &pool());
+    for (const std::uint32_t c : ids) {
+      CANOPUS_CHECK(c < records.size() && records[c] != nullptr,
+                    "delta chunk record missing");
+      CANOPUS_CHECK(records[c]->codec != "none",
+                    "block is opaque; use read_opaque");
+      ring.submit(records[c]->object_key);
+    }
+    out.chunks.reserve(ids.size());
+    for (const std::uint32_t c : ids) {
+      auto done = ring.wait_next();
+      // The first failed read ends the fetch, like a serial loop; the ring's
+      // destructor drops the not-yet-executed remainder.
+      if (done.error) std::rethrow_exception(done.error);
+      out.chunks.push_back(
+          {*records[c], std::move(done.payload), adios::read_timing(done.io)});
     }
   } catch (...) {
     out.error = std::current_exception();
@@ -223,11 +229,11 @@ ProgressiveReader::PrefetchedLevel ProgressiveReader::fetch_level(
   return out;
 }
 
-ProgressiveReader::PrefetchedLevel ProgressiveReader::take_prefetch(
+ProgressiveReader::FetchedChunks ProgressiveReader::take_prefetch(
     std::uint32_t level) {
   auto& registry = obs::MetricsRegistry::global();
   if (prefetch_.valid()) {
-    PrefetchedLevel p = prefetch_.get();
+    FetchedChunks p = prefetch_.get();
     prefetch_level_.reset();
     if (p.level == level) {
       registry.counter("reader.prefetch_hits").add(1);
@@ -239,7 +245,7 @@ ProgressiveReader::PrefetchedLevel ProgressiveReader::take_prefetch(
   } else if (read_ahead_) {
     registry.counter("reader.prefetch_misses").add(1);
   }
-  return fetch_level(level);
+  return fetch_chunks(level, all_chunks(level));
 }
 
 void ProgressiveReader::start_prefetch(std::uint32_t level) {
@@ -267,26 +273,18 @@ void ProgressiveReader::start_prefetch(std::uint32_t level) {
       return;
     }
   }
-  prefetch_ = pool().submit([this, level] { return fetch_level(level); });
+  prefetch_ = pool().submit(
+      [this, level] { return fetch_chunks(level, all_chunks(level)); });
   prefetch_level_ = level;
 }
 
-mesh::Field ProgressiveReader::decode_level(PrefetchedLevel fetched,
-                                            RetrievalTimings& step,
-                                            bool& chunked) {
-  // Fold the successfully fetched chunks first (prefetched I/O is charged to
-  // the step that consumes it), then surface a fetch failure exactly as the
-  // synchronous path would: partial timings kept, exception propagated.
-  for (const auto& rc : fetched.chunks) fold(rc.io, step);
-  if (fetched.overlapped_io_seconds) {
-    // Ring-backed fetch: the chunks ran up to io.depth-way overlapped, so
-    // the step is charged their makespan, not the serial sum fold() added.
-    double serial_sum = 0.0;
-    for (const auto& rc : fetched.chunks) serial_sum += rc.io.io_sim_seconds;
-    step.io_seconds += *fetched.overlapped_io_seconds - serial_sum;
-  }
+std::vector<cache::BlockCache::ArrayPtr> ProgressiveReader::decode_chunks(
+    const FetchedChunks& fetched, RetrievalTimings& step) {
+  // Charge the landed reads first (read-ahead I/O is charged to the step
+  // that consumes it), then surface a fetch failure: partial timings kept,
+  // exception propagated.
+  charge(fetched.chunks, io_config_.depth, step);
   if (fetched.error) std::rethrow_exception(fetched.error);
-  chunked = fetched.chunked;
 
   CANOPUS_SPAN("read.decompress",
                {{"level", fetched.level}, {"chunks", fetched.chunks.size()}});
@@ -318,132 +316,7 @@ mesh::Field ProgressiveReader::decode_level(PrefetchedLevel fetched,
     }
   });
   for (const double s : decode_seconds) step.decompress_seconds += s;
-
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p->size();
-  mesh::Field delta;
-  delta.reserve(total);
-  for (const auto& p : parts) delta.insert(delta.end(), p->begin(), p->end());
-  return delta;
-}
-
-mesh::Field ProgressiveReader::retrieve_level(std::uint32_t level,
-                                              RetrievalTimings& step,
-                                              bool& chunked) {
-  if (io_config_.enabled()) {
-    const bool matching_prefetch =
-        prefetch_.valid() && prefetch_level_ && *prefetch_level_ == level;
-    if (!matching_prefetch) {
-      const auto info = reader_.inq_var(var_);
-      const auto* first = info.block(adios::BlockKind::kDelta, level);
-      CANOPUS_CHECK(first != nullptr, "delta block missing");
-      if (first->chunk_count > 1) {
-        if (prefetch_.valid()) {
-          // Stale read-ahead (the reader changed course): discard it, its
-          // speculative reads never enter the retrieval clock.
-          prefetch_.get();
-          prefetch_level_.reset();
-          obs::MetricsRegistry::global().counter("reader.prefetch_stale").add(1);
-        }
-        return decode_level_async(info, level, step, chunked);
-      }
-    }
-  }
-  return decode_level(take_prefetch(level), step, chunked);
-}
-
-mesh::Field ProgressiveReader::decode_level_async(const adios::VarInfo& info,
-                                                  std::uint32_t level,
-                                                  RetrievalTimings& step,
-                                                  bool& chunked) {
-  const auto* first = info.block(adios::BlockKind::kDelta, level);
-  CANOPUS_ASSERT(first != nullptr && first->chunk_count > 1);
-  chunked = true;
-  const std::size_t n = first->chunk_count;
-  CANOPUS_SPAN("read.fetch_async",
-               {{"level", level}, {"depth", static_cast<int>(io_config_.depth)}});
-  std::vector<const adios::BlockRecord*> recs(n, nullptr);
-  for (const auto& b : info.blocks) {
-    if (b.kind == adios::BlockKind::kDelta && b.level == level && b.chunk < n) {
-      recs[b.chunk] = &b;
-    }
-  }
-  io::IoRing ring(hierarchy_, io_config_, &pool());
-  for (const auto* r : recs) {
-    CANOPUS_CHECK(r != nullptr, "delta chunk record missing");
-    CANOPUS_CHECK(r->codec != "none", "block is opaque; use read_opaque");
-    ring.submit(r->object_key);
-  }
-  cache::BlockCache* cache = hierarchy_.block_cache();
-  std::vector<cache::BlockCache::ArrayPtr> parts(n);
-  std::vector<double> decode_seconds(n, 0.0);
-  std::vector<std::future<void>> decodes;
-  decodes.reserve(n);
-  std::vector<double> costs;
-  costs.reserve(n);
-  std::exception_ptr failure;
-  for (std::size_t c = 0; c < n; ++c) {
-    auto comp = ring.wait_next();
-    if (comp.error) {
-      // Mirror the serial reader: stop at the first failed chunk. Completed
-      // chunks keep their charges; submissions the ring never executed are
-      // dropped by its destructor, exactly as the serial loop never issues
-      // reads past a failure.
-      failure = comp.error;
-      break;
-    }
-    step.bytes_read += comp.io.bytes;
-    step.retries += comp.io.retries;
-    step.corruptions_detected += comp.io.corruptions;
-    if (comp.io.from_replica) ++step.replica_reads;
-    costs.push_back(comp.io.sim_seconds);
-    // Completion-driven continuation: this chunk's decode fires the moment
-    // its read lands, while later reads are still in flight — no level-wide
-    // fetch barrier. parts/decode_seconds writes are per-index disjoint.
-    auto payload = std::make_shared<util::Bytes>(std::move(comp.payload));
-    const adios::BlockRecord* rec = recs[c];
-    decodes.push_back(
-        pool().submit([cache, rec, payload, &parts, &decode_seconds, c] {
-          if (cache != nullptr) {
-            // Same decoded-array cache level as the blocking path: one
-            // session pays the decode, siblings reuse it.
-            parts[c] = cache
-                           ->get_or_load_array(
-                               storage::StorageHierarchy::decoded_alias(
-                                   rec->object_key),
-                               [&] {
-                                 return adios::BpReader::decode_chunk(
-                                     *rec, *payload, &decode_seconds[c]);
-                               })
-                           .array;
-          } else {
-            parts[c] = std::make_shared<const std::vector<double>>(
-                adios::BpReader::decode_chunk(*rec, *payload,
-                                              &decode_seconds[c]));
-          }
-        }));
-  }
-  // Join every decode before surfacing any failure — the tasks write into
-  // frame-local vectors.
-  std::exception_ptr decode_failure;
-  for (auto& f : decodes) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!decode_failure) decode_failure = std::current_exception();
-    }
-  }
-  step.io_seconds += io::overlap_makespan(costs, io_config_.depth);
-  for (const double s : decode_seconds) step.decompress_seconds += s;
-  if (failure) std::rethrow_exception(failure);
-  if (decode_failure) std::rethrow_exception(decode_failure);
-
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p->size();
-  mesh::Field delta;
-  delta.reserve(total);
-  for (const auto& p : parts) delta.insert(delta.end(), p->begin(), p->end());
-  return delta;
+  return parts;
 }
 
 RetrievalTimings ProgressiveReader::degrade(RetrievalTimings step) {
@@ -473,8 +346,12 @@ RetrievalTimings ProgressiveReader::refine() {
     // stacked, skipped_ is empty and the flag stays sticky — the missing
     // deltas already propagated through finer estimates.)
     if (skipped_ && skipped_->level == current_level_) backfill_skipped(step);
-    bool chunked = false;
-    mesh::Field delta = retrieve_level(next, step, chunked);
+    const auto parts = decode_chunks(take_prefetch(next), step);
+    CANOPUS_CHECK(!parts.empty(), "delta block missing");
+    // A multi-chunk delta is stored in Morton order (unpermuted below).
+    const bool chunked = parts.size() > 1;
+    mesh::Field delta;
+    for (const auto& p : parts) delta.insert(delta.end(), p->begin(), p->end());
     delta_rms = rms_of(delta);
 
     if (geometry_) {
@@ -544,24 +421,27 @@ void ProgressiveReader::backfill_skipped(RetrievalTimings& step) {
     order = local_order.get();
   }
   auto& pending = sk.chunks;
-  while (!pending.empty()) {
-    const std::uint32_t c = pending.back();
-    adios::ReadTiming t;
-    const auto part =
-        reader_.read_doubles_chunk(var_, adios::BlockKind::kDelta, sk.level, c, &t);
-    fold(t, step);
-    CANOPUS_CHECK(part.size() == sk.index.chunks[c].count,
+  // Fetched in pop_back order, so the landed prefix of a failed fetch is
+  // exactly the chunks to apply and pop. Applying it before surfacing the
+  // failure leaves an exactly resumable remainder (the caller degrades; the
+  // flag stays set).
+  FetchedChunks fetched =
+      fetch_chunks(sk.level, {pending.rbegin(), pending.rend()});
+  const std::exception_ptr error = std::exchange(fetched.error, nullptr);
+  const auto parts = decode_chunks(fetched, step);
+  util::WallTimer timer;
+  for (const auto& part : parts) {
+    const auto& range = sk.index.chunks[pending.back()];
+    CANOPUS_CHECK(part->size() == range.count,
                   "chunk size inconsistent with its index");
-    util::WallTimer timer;
-    const std::size_t start = static_cast<std::size_t>(sk.index.chunks[c].start);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      values_[(*order)[start + i]] += part[i];
+    const auto start = static_cast<std::size_t>(range.start);
+    for (std::size_t i = 0; i < part->size(); ++i) {
+      values_[(*order)[start + i]] += (*part)[i];
     }
-    step.restore_seconds += timer.seconds();
-    // Pop only after the chunk landed: a fetch fault above leaves an exactly
-    // resumable remainder (the caller degrades; the flag stays set).
     pending.pop_back();
   }
+  step.restore_seconds += timer.seconds();
+  if (error) std::rethrow_exception(error);
   partially_refined_ = false;
   skipped_.reset();
 }
@@ -603,15 +483,13 @@ RetrievalTimings ProgressiveReader::refine_region(const mesh::Aabb& roi) {
     // Delta in Morton storage order; unfetched chunks stay zero (estimate-only).
     mesh::Field stored(fine_count, 0.0);
     const std::vector<std::uint32_t> wanted = index.intersecting(roi);
-    for (std::uint32_t c : wanted) {
-      adios::ReadTiming t;
-      const auto part =
-          reader_.read_doubles_chunk(var_, adios::BlockKind::kDelta, next, c, &t);
-      fold(t, step);
-      CANOPUS_CHECK(part.size() == index.chunks[c].count,
+    const auto parts = decode_chunks(fetch_chunks(next, wanted), step);
+    for (std::size_t k = 0; k < parts.size(); ++k) {
+      const auto& range = index.chunks[wanted[k]];
+      CANOPUS_CHECK(parts[k]->size() == range.count,
                     "chunk size inconsistent with its index");
-      std::copy(part.begin(), part.end(),
-                stored.begin() + static_cast<long>(index.chunks[c].start));
+      std::copy(parts[k]->begin(), parts[k]->end(),
+                stored.begin() + static_cast<long>(range.start));
     }
     // `wanted` is ascending (index.intersecting scans chunks in order).
     for (std::uint32_t c = 0;
@@ -728,102 +606,15 @@ RetrievalTimings ProgressiveReader::refine_until(double rmse_threshold) {
 }
 
 RetrievalTimings ProgressiveReader::refine_while(
-    const std::function<bool(std::uint32_t, double)>& admit) {
+    const std::function<bool(std::uint32_t)>& admit) {
   CANOPUS_CHECK(admit != nullptr, "refine_while: admit must not be null");
   RetrievalTimings acc;
   while (current_level_ > 0) {
-    const std::uint32_t next = current_level_ - 1;
-    if (!admit(next, estimated_refine_cost(next))) break;
+    if (!admit(current_level_ - 1)) break;
     acc += refine();
     if (last_status_ == RefineStatus::kDegraded) break;
   }
   return acc;
-}
-
-double ProgressiveReader::estimated_refine_cost(std::uint32_t level) const {
-  CANOPUS_CHECK(level < levels_, "level out of range");
-  const auto info = reader_.inq_var(var_);
-  const cache::BlockCache* cache = hierarchy_.block_cache();
-  // A block's recorded tier is its *write-time* placement; background
-  // demotion (fabric eviction, make_room) and the tier advisor move objects
-  // afterwards, and charging the stale tier makes planned cost diverge from
-  // achieved cost. Price every block at its live residency instead; a key no
-  // local tier holds is charged at the remote store's estimate.
-  const storage::RemoteStore* remote = hierarchy_.remote_store();
-  const auto live_tier =
-      [this](const adios::BlockRecord& b) -> std::optional<std::size_t> {
-    if (const auto where = hierarchy_.find(b.object_key)) return where;
-    return std::nullopt;
-  };
-  double cost = 0.0;
-  // Delta chunks in chunk order, for the ring model below: with the async
-  // engine on they run depth-way overlapped (and, uncached, with per-batch
-  // tier-latency amortization), so planning charges their makespan — the
-  // mirror of what the step's RetrievalTimings will actually report.
-  // Each entry carries the chunk's live tier so the same-tier batching test
-  // below groups by where chunks are, not where they were written.
-  struct DeltaOp {
-    std::uint32_t chunk = 0;
-    const adios::BlockRecord* block = nullptr;
-    std::optional<std::size_t> tier;
-  };
-  std::vector<DeltaOp> deltas;
-  for (const auto& b : info.blocks) {
-    if (b.level != level) continue;
-    const bool data = b.kind == adios::BlockKind::kDelta;
-    const bool geom = geometry_ == nullptr &&
-                      (b.kind == adios::BlockKind::kMesh ||
-                       b.kind == adios::BlockKind::kMapping);
-    if (!data && !geom) continue;
-    if (cache != nullptr &&
-        (cache->contains(b.object_key) ||
-         cache->contains(storage::StorageHierarchy::decoded_alias(b.object_key)))) {
-      continue;  // cache hits cost zero simulated seconds
-    }
-    const std::optional<std::size_t> where = live_tier(b);
-    if (!where.has_value() && remote != nullptr) {
-      cost += remote->estimated_read_cost(b.object_key, b.stored_bytes);
-      continue;
-    }
-    const std::size_t tier = where.value_or(b.tier);
-    if (data && io_config_.enabled() && b.chunk_count > 1) {
-      deltas.push_back({b.chunk, &b, tier});
-      continue;
-    }
-    cost += hierarchy_.tier(tier).read_cost(b.stored_bytes);
-  }
-  if (!deltas.empty()) {
-    std::sort(deltas.begin(), deltas.end(),
-              [](const DeltaOp& a, const DeltaOp& b) { return a.chunk < b.chunk; });
-    const std::uint32_t batch = std::clamp<std::uint32_t>(
-        io_config_.batch == 0 ? 1 : io_config_.batch, 1, io_config_.depth);
-    std::vector<double> per_op;
-    per_op.reserve(deltas.size());
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-      const auto& b = *deltas[i].block;
-      const std::size_t tier = *deltas[i].tier;
-      if (cache != nullptr) {
-        // A hierarchy fronted by a block cache serves batches through the
-        // single-flight cache path — no round-trip amortization there.
-        per_op.push_back(hierarchy_.tier(tier).read_cost(b.stored_bytes));
-        continue;
-      }
-      // read_batch charges one tier round trip per batch: the first op of a
-      // batch that lands on a tier pays the latency, later same-tier ops pay
-      // bytes only.
-      bool first_on_tier = true;
-      for (std::size_t j = i - i % batch; j < i; ++j) {
-        if (deltas[j].tier == tier) {
-          first_on_tier = false;
-          break;
-        }
-      }
-      per_op.push_back(
-          hierarchy_.tier(tier).batched_read_cost(b.stored_bytes, first_on_tier));
-    }
-    cost += io::overlap_makespan(per_op, io_config_.depth);
-  }
-  return cost;
 }
 
 }  // namespace canopus::core

@@ -58,13 +58,12 @@ struct ReaderOptions {
   /// session pool). When set it overrides parallel.threads — the reader
   /// spawns no pool of its own — and must outlive the reader.
   util::ThreadPool* shared_pool = nullptr;
-  /// Async engine shape. With the default depth of 1 every fetch stays on
-  /// the blocking path (byte-for-byte the historical behavior); depth > 1
-  /// routes multi-chunk delta fetches through an io::IoRing so up to `depth`
-  /// tier reads stay in flight and each chunk's decode fires as its
-  /// completion lands. Restored fields are bitwise-identical either way —
-  /// only when I/O happens (and thus the step's io_seconds, charged as the
-  /// overlapped makespan instead of the serial sum) changes.
+  /// Shape of the io::IoRing every delta-chunk read goes through. The
+  /// default depth of 1 is the blocking path: one read at a time, inline on
+  /// the fetching thread, each step charged the plain per-read sum. With
+  /// depth > 1 up to `depth` tier reads stay in flight and a step is charged
+  /// their overlapped makespan instead. Restored fields are bitwise-identical
+  /// for any depth; only when I/O happens and the step's io_seconds change.
   io::IoConfig io;
 };
 
@@ -157,20 +156,11 @@ class ProgressiveReader {
   RetrievalTimings refine_until(double rmse_threshold);
 
   /// Budgeted refinement for the serve-layer scheduler: before each step,
-  /// `admit(next_level, estimated_step_io_seconds)` decides whether to take
-  /// it. Stops when admit returns false, full accuracy is reached, or a step
-  /// degrades; returns accumulated step timings. The estimate passed to
-  /// admit is estimated_refine_cost(next_level).
-  RetrievalTimings refine_while(
-      const std::function<bool(std::uint32_t, double)>& admit);
-
-  /// Estimated simulated-I/O seconds of refining to `level` (one step):
-  /// per-block tier read costs from container metadata (delta chunks, plus
-  /// mesh/mapping blocks when no geometry cache is attached), with
-  /// cache-resident blocks counted as free. Pure metadata/cache probe — no
-  /// tier reads, no side effects. The serve module layers compute estimates
-  /// and observed-latency calibration on top (serve/cost_model.hpp).
-  double estimated_refine_cost(std::uint32_t level) const;
+  /// `admit(next_level)` decides whether to take it (the scheduler prices
+  /// the step with serve::CostModel). Stops when admit returns false, full
+  /// accuracy is reached, or a step degrades; returns accumulated step
+  /// timings.
+  RetrievalTimings refine_while(const std::function<bool(std::uint32_t)>& admit);
 
   /// RMS of the delta applied by the most recent successful refine() /
   /// refine_region() — the achieved-accuracy proxy the scheduler reports
@@ -190,21 +180,14 @@ class ProgressiveReader {
   const RetrievalTimings& cumulative() const { return cumulative_; }
 
  private:
-  /// Raw (still compressed) blocks of one delta level, pulled off the tiers
-  /// either synchronously or by the read-ahead task. On a failed fetch,
-  /// `chunks` holds the successfully read prefix and `error` the failure, so
-  /// the consumer can fold the partial timings and then degrade exactly like
-  /// the synchronous path.
-  struct PrefetchedLevel {
+  /// Raw (still compressed) delta chunks of one level, in the order they
+  /// were asked for. On a failed fetch, `chunks` holds the successfully read
+  /// prefix and `error` the first failure, so the consumer can charge the
+  /// partial timings and then degrade.
+  struct FetchedChunks {
     std::uint32_t level = 0;
-    bool chunked = false;
     std::vector<adios::BpReader::RawChunk> chunks;
     std::exception_ptr error;
-    /// Set when the chunks were fetched through the async engine: the
-    /// simulated seconds of the depth-way overlapped schedule
-    /// (overlap_makespan), which decode_level charges to the step instead of
-    /// the serial per-chunk sum. Empty on the blocking path.
-    std::optional<double> overlapped_io_seconds;
   };
 
   /// Chunks a regional refinement skipped, remembered so the next full
@@ -221,42 +204,38 @@ class ProgressiveReader {
   };
 
   /// Re-reads the pending skipped chunks of the current level and applies
-  /// their deltas additively, clearing partially_refined_. Applied chunks
-  /// are popped as they land, so a tier fault mid-way (which propagates to
-  /// the caller's degrade path) leaves an exactly resumable remainder.
+  /// their deltas additively, clearing partially_refined_. On a tier fault
+  /// mid-way the chunks that landed are applied and popped before the fault
+  /// propagates to the caller's degrade path, leaving an exactly resumable
+  /// remainder.
   void backfill_skipped(RetrievalTimings& step);
 
   /// Records a failed step: counts it, sets kDegraded, keeps reader state.
   RetrievalTimings degrade(RetrievalTimings step);
 
   util::ThreadPool& pool() const;
-  /// Serially fetches every delta chunk of `level`; never throws (failures
-  /// are captured in the result). Safe to run off-thread: it only performs
-  /// reads through the (thread-safe) hierarchy.
-  PrefetchedLevel fetch_level(std::uint32_t level) const;
-  /// Consumes a matching in-flight read-ahead, or fetches synchronously. A
-  /// stale prefetch (different level) is discarded; its speculative reads
-  /// never enter the retrieval clock.
-  PrefetchedLevel take_prefetch(std::uint32_t level);
+  /// The one delta-chunk read path: submits the keys of delta chunks `ids`
+  /// of `level`, in order, to an io::IoRing shaped by the reader's IoConfig
+  /// and collects the payloads. Stops at the first failed read, keeping the
+  /// landed prefix; never throws. Safe to run off-thread (the read-ahead
+  /// task): it only reads through the thread-safe hierarchy.
+  FetchedChunks fetch_chunks(std::uint32_t level,
+                             const std::vector<std::uint32_t>& ids) const;
+  /// Ids of every delta chunk of `level`, ascending (empty when the level has
+  /// no delta block).
+  std::vector<std::uint32_t> all_chunks(std::uint32_t level) const;
+  /// Consumes a matching in-flight read-ahead, or fetches every chunk of
+  /// `level` now. A stale read-ahead (different level) is discarded; its
+  /// speculative reads never enter the retrieval clock.
+  FetchedChunks take_prefetch(std::uint32_t level);
   /// Kicks off the read-ahead for `level` (no-op when disabled).
   void start_prefetch(std::uint32_t level);
-  /// Folds fetch timings into `step`, rethrows a captured fetch failure, and
-  /// decodes all chunks in parallel, concatenated in chunk order.
-  mesh::Field decode_level(PrefetchedLevel fetched, RetrievalTimings& step,
-                           bool& chunked);
-  /// Dispatch for one level's delta retrieval: the completion-driven async
-  /// path when the ring is enabled, the level is multi-chunk, and no matching
-  /// read-ahead is pending; decode_level(take_prefetch(...)) otherwise.
-  mesh::Field retrieve_level(std::uint32_t level, RetrievalTimings& step,
-                             bool& chunked);
-  /// Ring-backed fetch + decode: submits every delta chunk of `level`, keeps
-  /// io.depth reads in flight, and spawns the decode of each chunk on the
-  /// pool the moment its completion lands (no level-wide fetch barrier).
-  /// Chunk order, and therefore the restored field, is bitwise-identical to
-  /// the blocking path; only io_seconds (overlapped makespan) differs.
-  mesh::Field decode_level_async(const adios::VarInfo& info,
-                                 std::uint32_t level, RetrievalTimings& step,
-                                 bool& chunked);
+  /// Charges a fetch to `step` (per-read counters; on the simulated clock
+  /// the reads' makespan at io.depth), rethrows its failure, and decodes its
+  /// chunks in parallel through the decoded-array cache. One array per
+  /// fetched chunk, in fetch order.
+  std::vector<cache::BlockCache::ArrayPtr> decode_chunks(
+      const FetchedChunks& fetched, RetrievalTimings& step);
 
   storage::StorageHierarchy& hierarchy_;
   adios::BpReader reader_;
@@ -282,7 +261,7 @@ class ProgressiveReader {
   mutable std::optional<util::ThreadPool> local_pool_;
   bool read_ahead_ = false;
   io::IoConfig io_config_;
-  std::future<PrefetchedLevel> prefetch_;
+  std::future<FetchedChunks> prefetch_;
   std::optional<std::uint32_t> prefetch_level_;  // level of the pending future
 };
 

@@ -7,10 +7,11 @@
 
 namespace canopus::io {
 
-/// Shape of one IoRing. The default depth of 1 IS the blocking path: every
-/// read completes before the next is submitted and the accounting degenerates
-/// to the plain per-op sum, so existing callers are unchanged until they opt
-/// in with depth > 1 (config `<io depth=...>` or the benches' --io-depth).
+/// Shape of one IoRing. The default depth of 1 IS the blocking path: one
+/// read at a time, each executed on the consuming thread when its completion
+/// is awaited, and the accounting degenerates to the plain per-op sum. Depth
+/// > 1 (config `<io depth=...>` or the benches' --io-depth) keeps reads in
+/// flight and charges their overlapped makespan.
 struct IoConfig {
   /// Bounded ring size: maximum tier operations in flight (submitted and not
   /// yet consumed by the completion loop). 0 and 1 both mean blocking.
@@ -22,8 +23,6 @@ struct IoConfig {
   /// and backoff) exceeds it completes with deadline_missed set and bumps the
   /// io.deadline_misses counter. 0 disables the check.
   double deadline_seconds = 0.0;
-
-  bool enabled() const { return depth > 1; }
 };
 
 }  // namespace canopus::io

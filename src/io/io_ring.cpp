@@ -9,11 +9,12 @@
 
 namespace canopus::io {
 
-double overlap_makespan(const std::vector<double>& costs, std::uint32_t depth) {
+double overlap_makespan(const std::vector<double>& costs, std::uint32_t depth,
+                        double start) {
   if (depth <= 1) {
-    // Ordered sum, matching the historical fold of blocking readers exactly
-    // (same accumulation order, so the same floating-point bits).
-    double sum = 0.0;
+    // Ordered fold onto the running clock, matching the per-op fold of a
+    // blocking reader exactly (same accumulation order, same bits).
+    double sum = start;
     for (const double c : costs) sum += c;
     return sum;
   }
@@ -28,7 +29,7 @@ double overlap_makespan(const std::vector<double>& costs, std::uint32_t depth) {
     *slot += c;
     makespan = std::max(makespan, *slot);
   }
-  return makespan;
+  return start + makespan;
 }
 
 IoRing::IoRing(const storage::StorageHierarchy& hierarchy, IoConfig config,
@@ -70,9 +71,12 @@ std::size_t IoRing::submit(std::string key) {
 }
 
 void IoRing::maybe_spawn_driver_locked() {
-  const std::uint32_t depth = std::max<std::uint32_t>(1, config_.depth);
-  if (pool_ == nullptr || driver_scheduled_ || executing_ || queue_.empty() ||
-      ready_.size() >= depth) {
+  // Depth 1 is the blocking path, and a pool worker must not queue a driver
+  // on its own pool (the destructor would wait for a task that can only run
+  // once this worker is free): both pump inline in wait_next().
+  if (pool_ == nullptr || config_.depth <= 1 || driver_scheduled_ ||
+      executing_ || queue_.empty() || ready_.size() >= config_.depth ||
+      pool_->on_worker_thread()) {
     return;
   }
   driver_scheduled_ = true;

@@ -1,14 +1,13 @@
 #pragma once
 // Asynchronous submission/completion engine: a bounded ring of in-flight tier
-// operations with batched submission and completion-driven continuation.
+// operations with batched submission.
 //
 // The shape follows ScaleStore's AsyncReadBuffer: a session submits the keys
 // it needs, the engine keeps up to `depth` operations in flight against the
 // storage hierarchy (issuing them through the batched submit seam,
 // StorageHierarchy::read_batch, in groups of up to `batch`), and the session
-// consumes completions in submission order, firing its continuation — for the
-// progressive reader, the decode of one delta chunk — as each lands instead
-// of after a level-wide barrier.
+// consumes completions in submission order. Every delta-chunk read of the
+// progressive reader goes through one (ProgressiveReader::fetch_chunks).
 //
 // Determinism: batches execute strictly in submission order by exactly one
 // executor at a time, and read_batch preserves key order inside a batch, so
@@ -25,13 +24,14 @@
 // by the caller's submit/wait sequence. Execution is opportunistic: a driver
 // task on the worker pool drains closed groups in the background, and
 // wait_next() pumps inline whenever no driver is active (including pools with
-// zero spare workers), so consuming completions can never deadlock.
+// zero spare workers), so consuming completions can never deadlock. A ring of
+// depth 1 is the blocking path: it never spawns a driver, so each read runs
+// inline in wait_next() on the consumer's thread, one at a time.
 //
 // Accounting for overlapped I/O lives next door: overlap_makespan() converts
 // a list of per-op simulated costs into the simulated wall-clock of running
-// them `depth`-way overlapped, which is what RetrievalTimings charges when a
-// ring is active (sum == makespan at depth 1, so blocking accounting is
-// unchanged).
+// them `depth`-way overlapped, which is what RetrievalTimings charges (sum ==
+// makespan at depth 1, so blocking accounting is the per-op fold).
 
 #include <condition_variable>
 #include <cstdint>
@@ -46,12 +46,15 @@
 
 namespace canopus::io {
 
-/// Simulated wall-clock seconds of executing ops with the given sim costs on
-/// `depth` overlapped lanes, in submission order (greedy earliest-free-lane
-/// list schedule — exactly the bound a ring of `depth` slots achieves).
-/// Deterministic; depth <= 1 reduces to the plain ordered sum, which keeps
-/// async-off step accounting bit-identical to the historical per-op fold.
-double overlap_makespan(const std::vector<double>& costs, std::uint32_t depth);
+/// Simulated clock after executing ops with the given sim costs on `depth`
+/// overlapped lanes, in submission order (greedy earliest-free-lane list
+/// schedule — exactly the bound a ring of `depth` slots achieves), when the
+/// clock read `start` before the first op: start + makespan. Deterministic;
+/// depth <= 1 reduces to adding each cost onto `start` in order, so a
+/// blocking step stays bit-identical to a serial per-op fold even when
+/// earlier reads of the same step were charged first.
+double overlap_makespan(const std::vector<double>& costs, std::uint32_t depth,
+                        double start = 0.0);
 
 /// One finished operation, handed out in submission order.
 struct IoCompletion {
@@ -66,9 +69,11 @@ struct IoCompletion {
 class IoRing {
  public:
   /// Rings issue reads against `hierarchy`; `pool` (optional) supplies the
-  /// background driver — with a null pool, or when the submitter is itself a
-  /// pool worker, execution happens inline in wait_next(). Both the hierarchy
-  /// and the pool must outlive the ring.
+  /// background driver. With a null pool, a depth of 1, or a submitter that
+  /// is itself one of the pool's workers, no driver is spawned and every read
+  /// executes inline in wait_next() on the calling thread. (A driver queued
+  /// behind a busy worker that waits on it would never run.) Both the
+  /// hierarchy and the pool must outlive the ring.
   IoRing(const storage::StorageHierarchy& hierarchy, IoConfig config,
          util::ThreadPool* pool = nullptr);
 

@@ -20,10 +20,13 @@ serve::QueryScheduler& Pipeline::query_scheduler() {
     tier_advisor();
   }
   std::call_once(scheduler_once_, [this] {
+    core::ReaderOptions reader_options;
+    reader_options.parallel = options_.parallel;
+    reader_options.io = options_.io;
+    if (session_pool_.has_value()) reader_options.shared_pool = &*session_pool_;
     auto scheduler = std::make_shared<serve::QueryScheduler>(
         *hierarchy_, options_.serve.value_or(serve::ServeConfig{}),
-        options_.parallel,
-        session_pool_.has_value() ? &*session_pool_ : nullptr);
+        reader_options);
     // Route across the attached fabric (if any), and keep routing current
     // when the fabric is attached or swapped later: Pipeline::attach_fabric
     // (fabric module) fires this hook under the same mutex. The hook

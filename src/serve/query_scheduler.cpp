@@ -48,12 +48,8 @@ void gauge_queue_depth(std::size_t depth) {
 }  // namespace
 
 QueryScheduler::QueryScheduler(storage::StorageHierarchy& hierarchy,
-                               ServeConfig config, core::ParallelConfig parallel,
-                               util::ThreadPool* session_pool)
-    : hierarchy_(hierarchy),
-      config_(config),
-      parallel_(parallel),
-      session_pool_(session_pool) {
+                               ServeConfig config, core::ReaderOptions reader)
+    : hierarchy_(hierarchy), config_(config), reader_options_(reader) {
   CANOPUS_CHECK(config_.workers >= 1, "scheduler needs at least one worker");
   CANOPUS_CHECK(config_.queue_limit >= 1, "queue limit must be >= 1");
   CANOPUS_CHECK(std::isfinite(config_.default_deadline_seconds) &&
@@ -249,11 +245,8 @@ QueryOutcome QueryScheduler::run_query(QueryRequest request,
                                {"priority", request.priority},
                                {"shard", shard}});
   try {
-    core::ReaderOptions reader_options;
-    reader_options.parallel = parallel_;
-    if (session_pool_ != nullptr) reader_options.shared_pool = session_pool_;
     core::ProgressiveReader reader(*hierarchy, request.path, request.var,
-                                   request.geometry, reader_options);
+                                   request.geometry, reader_options_);
 
     const double deadline =
         request.deadline_seconds.value_or(config_.default_deadline_seconds);
@@ -296,7 +289,7 @@ QueryOutcome QueryScheduler::run_query(QueryRequest request,
 
     const bool rmse_mode = request.rmse_threshold.has_value();
     const double rmse_threshold = request.rmse_threshold.value_or(0.0);
-    reader.refine_while([&](std::uint32_t next, double /*estimated_io*/) {
+    reader.refine_while([&](std::uint32_t next) {
       if (!rmse_mode && next < target) return false;
       if (rmse_mode && reader.last_delta_rms().has_value() &&
           *reader.last_delta_rms() < rmse_threshold) {

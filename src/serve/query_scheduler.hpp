@@ -109,12 +109,11 @@ struct QueryOutcome {
 
 class QueryScheduler {
  public:
-  /// `hierarchy` must outlive the scheduler. `session_pool`, when given, is
-  /// the pool every query's reader fans out on (the Pipeline's session
-  /// pool); null falls back to `parallel`'s per-reader behavior.
+  /// `hierarchy` must outlive the scheduler. Every query's reader is opened
+  /// with `reader` (worker pool, read-ahead, I/O depth); its shared_pool,
+  /// when set, must outlive the scheduler too.
   QueryScheduler(storage::StorageHierarchy& hierarchy, ServeConfig config,
-                 core::ParallelConfig parallel,
-                 util::ThreadPool* session_pool = nullptr);
+                 core::ReaderOptions reader = {});
 
   /// Sheds every still-queued query with kOverloaded, then joins workers.
   ~QueryScheduler();
@@ -192,8 +191,7 @@ class QueryScheduler {
 
   storage::StorageHierarchy& hierarchy_;
   const ServeConfig config_;
-  const core::ParallelConfig parallel_;
-  util::ThreadPool* session_pool_;  // not owned; may be null
+  const core::ReaderOptions reader_options_;
   std::atomic<fabric::Fabric*> fabric_{nullptr};  // not owned; may be null
   std::atomic<tiering::TierAdvisor*> advisor_{nullptr};  // not owned; may be null
   Calibration calibration_;

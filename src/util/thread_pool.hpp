@@ -103,6 +103,9 @@ class ThreadPool {
   /// Global pool shared by library internals; sized to hardware concurrency.
   static ThreadPool& global();
 
+  /// True when the calling thread is one of this pool's workers.
+  bool on_worker_thread() const;
+
  private:
   /// One queued task; `enqueue_ns` is stamped only while observability is
   /// enabled (0 otherwise) so the disabled path never reads the clock.
@@ -115,7 +118,6 @@ class ThreadPool {
   /// queue depth) when enabled, and wakes a worker.
   void enqueue(std::function<void()> fn);
   void worker_loop();
-  bool on_worker_thread() const;
 
   std::vector<std::thread> workers_;
   std::queue<QueuedTask> queue_;

@@ -410,17 +410,15 @@ TEST(Config, ParsesIoBlock) {
   EXPECT_EQ(config.io->depth, 8u);
   EXPECT_EQ(config.io->batch, 4u);
   EXPECT_DOUBLE_EQ(config.io->deadline_seconds, 5e-3);
-  EXPECT_TRUE(config.io->enabled());
 }
 
 TEST(Config, IoDefaultsAndValidation) {
   // No <io> element: the optional stays empty and readers stay blocking.
   EXPECT_FALSE(cc::load_config(kSample).io.has_value());
-  // Bare <io/> opts in with the defaults — depth 1 keeps the engine off.
+  // Bare <io/> opts in with the defaults — depth 1, the blocking path.
   const auto bare = cc::load_config(wrap("<io/>"));
   ASSERT_TRUE(bare.io.has_value());
   EXPECT_EQ(bare.io->depth, 1u);
-  EXPECT_FALSE(bare.io->enabled());
   EXPECT_DOUBLE_EQ(bare.io->deadline_seconds, 0.0);
 
   EXPECT_THROW(cc::load_config(wrap("<io depth=\"0\"/>")), canopus::Error);

@@ -764,7 +764,7 @@ TEST(ReaderDegradation, AsyncSweepSurvivesFaultInjection) {
 }
 
 // A fully dead delta tier degrades the async reader exactly like the
-// blocking one — and recovery resumes completion-driven refinement.
+// blocking one — and recovery resumes ring-backed refinement.
 TEST(ReaderDegradation, AsyncReaderDegradesAndRecovers) {
   const auto ds = tiny_xgc();
   cs::StorageHierarchy tiers(

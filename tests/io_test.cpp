@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/io_ring.hpp"
@@ -236,4 +240,49 @@ TEST(IoRing, DestructorDrainsUnconsumedOps) {
   // The hierarchy is still fully usable afterwards.
   cu::Bytes out;
   EXPECT_NO_THROW(tiers.read(keys[3], out));
+}
+
+TEST(IoRing, DepthOneRunsEveryReadInlineOnTheCaller) {
+  // Depth 1 is the blocking path: even with a pool at hand no driver task
+  // is spawned, so every read executes on the consuming thread.
+  auto tiers = two_tiers();
+  const auto keys = seed_objects(tiers, 8);
+  std::mutex mu;
+  std::vector<std::thread::id> readers;
+  tiers.attach_access_listener([&](const std::string&, std::size_t) {
+    std::scoped_lock lock(mu);
+    readers.push_back(std::this_thread::get_id());
+  });
+  cu::ThreadPool pool(2);
+  cio::IoRing ring(tiers, cio::IoConfig{}, &pool);
+  for (const auto& k : keys) ring.submit(k);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_FALSE(ring.wait_next().error);
+  }
+  std::scoped_lock lock(mu);
+  ASSERT_EQ(readers.size(), keys.size());
+  for (const auto& id : readers) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(IoRing, RingOnItsOwnPoolWorkerRunsInline) {
+  // A ring built on one of its pool's workers must not queue a driver behind
+  // that worker: with a single worker, the ring's destructor would wait for
+  // a task that can only run once the worker is free.
+  auto tiers = two_tiers();
+  const auto keys = seed_objects(tiers, 8);
+  auto* pool = new cu::ThreadPool(1);  // leaked if the ring wedges its worker
+  auto done = pool->submit([&] {
+    cio::IoConfig cfg;
+    cfg.depth = 4;
+    cio::IoRing ring(tiers, cfg, pool);
+    for (const auto& k : keys) ring.submit(k);
+    std::size_t ok = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (!ring.wait_next().error) ++ok;
+    }
+    return ok;
+  });
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  EXPECT_EQ(done.get(), keys.size());
+  delete pool;
 }

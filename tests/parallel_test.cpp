@@ -5,15 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
+#include "adios/bp.hpp"
 #include "core/canopus.hpp"
 #include "core/geometry_cache.hpp"
 #include "fabric/fabric.hpp"
@@ -21,6 +25,7 @@
 #include "obs/observability.hpp"
 #include "obs/trace.hpp"
 #include "serve/query_scheduler.hpp"
+#include "storage/fault.hpp"
 #include "storage/hierarchy.hpp"
 #include "tiering/tier_advisor.hpp"
 #include "util/simd.hpp"
@@ -618,7 +623,7 @@ TEST(ParallelDeterminism, AsyncRingRestoreBitwiseIdenticalToBlocking) {
   cc::ProgressiveReader serial(tiers, "d.bp", "v", nullptr, blocking);
   serial.refine_to(0);
 
-  cc::ReaderOptions async_sync;  // completion-driven decode, no prefetch
+  cc::ReaderOptions async_sync;  // depth-8 ring, no prefetch
   async_sync.parallel.threads = 4;
   async_sync.parallel.read_ahead = false;
   async_sync.io.depth = 8;
@@ -639,6 +644,140 @@ TEST(ParallelDeterminism, AsyncRingRestoreBitwiseIdenticalToBlocking) {
     ASSERT_EQ(serial.values()[i], ahead.values()[i]) << "vertex " << i;
   }
   EXPECT_EQ(serial.cumulative().bytes_read, ring.cumulative().bytes_read);
+
+  // Regional and backfill reads ride the same ring: an ROI step, a full
+  // refine that backfills the chunks it skipped, then the rest of the way.
+  // Every step restores the blocking reader's bytes, reads the same volume,
+  // and moves partially_refined() the same way.
+  auto deep_tiers = three_tiers();
+  auto deep_config = chunked_config(0);
+  deep_config.levels = 4;
+  cc::refactor_and_write(deep_tiers, "r.bp", "v", mesh, smooth_field(mesh),
+                         deep_config);
+  struct Steps {
+    std::vector<cm::Field> values;
+    std::vector<std::size_t> bytes;
+    std::vector<bool> partial;
+  };
+  const auto run = [&](const cc::ReaderOptions& opts) {
+    cc::ProgressiveReader reader(deep_tiers, "r.bp", "v", nullptr, opts);
+    Steps steps;
+    const auto record = [&](const cc::RetrievalTimings& step) {
+      steps.values.push_back(reader.values());
+      steps.bytes.push_back(step.bytes_read);
+      steps.partial.push_back(reader.partially_refined());
+    };
+    record(reader.refine_region({{0.3, 0.3}, {1.1, 1.1}}));
+    while (!reader.at_full_accuracy()) record(reader.refine());
+    return steps;
+  };
+  const Steps reference = run(blocking);
+  ASSERT_EQ(reference.partial, (std::vector<bool>{true, false, false}));
+  for (const auto* opts : {&async_sync, &async_ahead}) {
+    const Steps steps = run(*opts);
+    EXPECT_EQ(steps.partial, reference.partial);
+    EXPECT_EQ(steps.bytes, reference.bytes);
+    ASSERT_EQ(steps.values.size(), reference.values.size());
+    for (std::size_t s = 0; s < steps.values.size(); ++s) {
+      ASSERT_TRUE(steps.values[s] == reference.values[s]) << "step " << s;
+    }
+  }
+}
+
+// The blocking path is the depth-1 ring: every step's simulated I/O, bytes
+// and retries are bitwise what a serial BpReader::fetch_chunk loop folds —
+// for a full, a regional and a backfilling refine, with and without
+// read-ahead — while transient tier faults force retries.
+TEST(ParallelDeterminism, DepthOneRingChargesTheSerialChunkFold) {
+  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
+  auto config = chunked_config(0);
+  config.levels = 4;
+  const cm::Aabb roi{{0.3, 0.3}, {1.1, 1.1}};
+  const auto flaky = [](cs::StorageHierarchy& tiers) {
+    auto injector = std::make_shared<cs::FaultInjector>(17);
+    cs::FaultProfile profile;
+    profile.read_error = 0.2;
+    for (std::size_t t = 0; t < tiers.tier_count(); ++t) {
+      injector->set_profile(t, profile);
+    }
+    tiers.attach_fault_injector(injector);
+    cs::RetryPolicy retry;
+    retry.max_attempts = 8;
+    tiers.set_retry_policy(retry);
+  };
+
+  for (const bool read_ahead : {false, true}) {
+    SCOPED_TRACE(read_ahead ? "read-ahead on" : "read-ahead off");
+    auto tiers = three_tiers();
+    cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh), config);
+    const auto geometry = cc::GeometryCache::load(tiers, "d.bp", "v");
+    flaky(tiers);
+    cc::ReaderOptions opts;  // default IoConfig: depth 1
+    opts.parallel.threads = 4;
+    opts.parallel.read_ahead = read_ahead;
+    cc::ProgressiveReader reader(tiers, "d.bp", "v", &geometry, opts);
+    std::vector<cc::RetrievalTimings> steps;
+    steps.push_back(reader.refine());            // 3 -> 2: every chunk
+    steps.push_back(reader.refine_region(roi));  // 2 -> 1: the ROI's chunks
+    ASSERT_TRUE(reader.partially_refined());
+    steps.push_back(reader.refine());  // backfill level 1, then 1 -> 0
+    ASSERT_FALSE(reader.partially_refined());
+    ASSERT_TRUE(reader.at_full_accuracy());
+
+    // Reference: the same reads in the same order on an identical,
+    // identically faulted hierarchy, one fetch_chunk at a time.
+    auto ref_tiers = three_tiers();
+    cc::refactor_and_write(ref_tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                           config);
+    flaky(ref_tiers);
+    const ca::BpReader bp(ref_tiers, "d.bp");  // the reader's open: metadata,
+    bp.read_doubles("v", ca::BlockKind::kBase, 3);  // then the base
+    const auto info = bp.inq_var("v");
+    const auto all = [&](std::uint32_t level) {
+      std::vector<std::uint32_t> ids(
+          info.block(ca::BlockKind::kDelta, level)->chunk_count);
+      std::iota(ids.begin(), ids.end(), 0u);
+      return ids;
+    };
+    const auto fetch = [&](std::uint32_t level,
+                           const std::vector<std::uint32_t>& chunks,
+                           cc::RetrievalTimings* step) {
+      for (const std::uint32_t c : chunks) {
+        const auto raw = bp.fetch_chunk("v", ca::BlockKind::kDelta, level, c);
+        if (step == nullptr) continue;  // speculative read: never charged
+        step->io_seconds += raw.io.io_sim_seconds;
+        step->bytes_read += raw.io.bytes_read;
+        step->retries += raw.io.retries;
+      }
+    };
+    std::vector<cc::RetrievalTimings> expected(3);
+    fetch(2, all(2), &expected[0]);
+    // The read-ahead of level 1, which the regional step then leaves stale.
+    if (read_ahead) fetch(1, all(1), nullptr);
+    const auto raw_index = bp.read_opaque("v", ca::BlockKind::kChunkIndex, 1);
+    cu::ByteReader br(raw_index);
+    const auto wanted = cc::ChunkIndex::deserialize(br).intersecting(roi);
+    ASSERT_FALSE(wanted.empty());
+    fetch(1, wanted, &expected[1]);
+    std::vector<std::uint32_t> skipped;  // backfilled from the highest id down
+    for (const std::uint32_t c : all(1)) {
+      if (!std::binary_search(wanted.begin(), wanted.end(), c)) {
+        skipped.insert(skipped.begin(), c);
+      }
+    }
+    fetch(1, skipped, &expected[2]);
+    fetch(0, all(0), &expected[2]);
+
+    std::size_t retries = 0;
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      SCOPED_TRACE("step " + std::to_string(s));
+      EXPECT_EQ(steps[s].io_seconds, expected[s].io_seconds);
+      EXPECT_EQ(steps[s].bytes_read, expected[s].bytes_read);
+      EXPECT_EQ(steps[s].retries, expected[s].retries);
+      retries += steps[s].retries;
+    }
+    EXPECT_GT(retries, 0u);  // the fault path really ran
+  }
 }
 
 // SIMD dispatch is a pure speed knob: forcing every vectorized kernel down

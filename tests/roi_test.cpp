@@ -3,14 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "adios/bp.hpp"
 #include "core/canopus.hpp"
 #include "mesh/generators.hpp"
 #include "sim/datasets.hpp"
+#include "storage/fault.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/stats.hpp"
 
+namespace ca = canopus::adios;
 namespace cc = canopus::core;
 namespace cm = canopus::mesh;
 namespace cs = canopus::storage;
@@ -255,6 +263,79 @@ TEST(RoiRefine, FullRefineAfterRegionalBackfillsAndClearsFlag) {
   ASSERT_EQ(reader.values().size(), straight.values().size());
   for (std::size_t i = 0; i < reader.values().size(); ++i) {
     ASSERT_EQ(reader.values()[i], straight.values()[i]) << "vertex " << i;
+  }
+}
+
+TEST(RoiRefine, BackfillResumesExactlyAfterMidwayFault) {
+  // A tier fault mid-backfill keeps the chunks that landed applied and the
+  // rest pending: once the fault clears, the next full refine finishes the
+  // backfill and lands bitwise on the state of a reader that never took the
+  // regional step. On the blocking path (depth 1) and on a depth-4 ring.
+  const auto mesh = cm::shuffle_vertices(
+      cm::make_rect_mesh(40, 40, 2.0, 2.0, 0.1, 29), 8);
+  const auto values = bump_field(mesh, {1.6, 1.6}, 0.12);
+  cc::RefactorConfig config;
+  config.levels = 3;
+  config.codec = "fpc";  // lossless: restored values comparable bitwise
+  config.delta_chunks = 16;
+  const cm::Aabb roi{{1.3, 1.3}, {1.9, 1.9}};
+
+  auto h0 = tiers();
+  cc::refactor_and_write(h0, "bf.bp", "v", mesh, values, config);
+  cc::ProgressiveReader straight(h0, "bf.bp", "v");
+  straight.refine_to(0);
+
+  for (const std::uint32_t depth : {1u, 4u}) {
+    SCOPED_TRACE("io depth " + std::to_string(depth));
+    auto h = tiers();
+    cc::refactor_and_write(h, "bf.bp", "v", mesh, values, config);
+    cc::ReaderOptions opts;
+    opts.io.depth = depth;
+    cc::ProgressiveReader reader(h, "bf.bp", "v", nullptr, opts);
+    reader.refine_region(roi);
+    ASSERT_TRUE(reader.partially_refined());
+    const std::uint32_t level = reader.current_level();
+
+    // The backfill reads the skipped chunks from the highest id down. Keep
+    // the first of them on the fast tier and strand the rest on a tier that
+    // fails every read: the fetch lands one chunk, then faults.
+    const ca::BpReader bp(h, "bf.bp");
+    const auto raw = bp.read_opaque("v", ca::BlockKind::kChunkIndex, level);
+    cu::ByteReader br(raw);
+    const auto wanted = cc::ChunkIndex::deserialize(br).intersecting(roi);
+    std::vector<std::pair<std::uint32_t, std::string>> skipped;
+    for (const auto& b : bp.inq_var("v").blocks) {
+      if (b.kind == ca::BlockKind::kDelta && b.level == level &&
+          !std::binary_search(wanted.begin(), wanted.end(), b.chunk)) {
+        skipped.emplace_back(b.chunk, b.object_key);
+      }
+    }
+    std::sort(skipped.begin(), skipped.end());
+    ASSERT_GE(skipped.size(), 2u);
+    for (std::size_t i = 0; i < skipped.size(); ++i) {
+      h.migrate(skipped[i].second, i + 1 == skipped.size() ? 0 : 1);
+    }
+    auto injector = std::make_shared<cs::FaultInjector>(1);
+    cs::FaultProfile dead;
+    dead.read_error = 1.0;
+    injector->set_profile(1, dead);
+    h.attach_fault_injector(injector);
+
+    const auto failed = reader.refine();
+    EXPECT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
+    EXPECT_EQ(reader.current_level(), level);
+    EXPECT_TRUE(reader.partially_refined());
+    EXPECT_GT(failed.bytes_read, 0u);  // the first skipped chunk landed
+
+    h.attach_fault_injector(nullptr);
+    reader.refine_to(0);
+    EXPECT_EQ(reader.last_status(), cc::RefineStatus::kOk);
+    EXPECT_FALSE(reader.partially_refined());
+    ASSERT_TRUE(reader.at_full_accuracy());
+    ASSERT_EQ(reader.values().size(), straight.values().size());
+    for (std::size_t i = 0; i < reader.values().size(); ++i) {
+      ASSERT_EQ(reader.values()[i], straight.values()[i]) << "vertex " << i;
+    }
   }
 }
 

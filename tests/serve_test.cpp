@@ -466,6 +466,40 @@ TEST(PipelineServe, SubmitQueryRoundTrip) {
             StatusCode::kInvalidArgument);
 }
 
+// Options::io reaches the scheduler's readers: a depth-8 query on an
+// 8-chunk container serves the depth-1 field bitwise, reads the same bytes,
+// and charges less simulated I/O (the overlapped makespan, not the sum).
+TEST(PipelineServe, SubmitQueryHonorsIoDepth) {
+  cs::StorageHierarchy tiers = three_tiers();
+  const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
+  cc::RefactorConfig config = refactor_config();
+  config.delta_chunks = 8;
+  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh), config);
+
+  const auto serve = [&](std::uint32_t depth) {
+    canopus::Options options;
+    options.io.depth = depth;
+    canopus::Pipeline pipeline(tiers, options);
+    cv::QueryRequest request = query();
+    request.deadline_seconds = 1e9;
+    cv::QueryResult result;
+    const Status status = pipeline.submit_query(request, &result);
+    EXPECT_TRUE(status.ok()) << status.to_string();
+    return result;
+  };
+  const cv::QueryResult blocking = serve(1);
+  const cv::QueryResult ring = serve(8);
+
+  ASSERT_EQ(blocking.achieved_level, 0u);
+  ASSERT_EQ(ring.achieved_level, 0u);
+  ASSERT_EQ(ring.values.size(), blocking.values.size());
+  for (std::size_t i = 0; i < ring.values.size(); ++i) {
+    ASSERT_EQ(ring.values[i], blocking.values[i]) << "vertex " << i;
+  }
+  EXPECT_EQ(ring.timings.bytes_read, blocking.timings.bytes_read);
+  EXPECT_LT(ring.timings.io_seconds, blocking.timings.io_seconds);
+}
+
 TEST(PipelineServe, OverloadedStatusStringAndNonFiniteReadThreshold) {
   EXPECT_EQ(canopus::to_string(StatusCode::kOverloaded), "overloaded");
 

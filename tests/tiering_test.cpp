@@ -363,7 +363,10 @@ TEST(StaleResidency, RefineEstimateTracksLiveTierAfterBackgroundDemotion) {
                          chunked_config());
 
   cc::ProgressiveReader reader(tiers, "d.bp", "v");
-  const double before = reader.estimated_refine_cost(0);
+  const auto estimate = [&](const cc::ProgressiveReader& r) {
+    return cv::CostModel::build(tiers, r).step(0).io_seconds;
+  };
+  const double before = estimate(reader);
 
   // A background demotion (eviction pressure, advisor policy) moves the
   // level's chunks while the reader stays open. The estimate must price the
@@ -374,7 +377,7 @@ TEST(StaleResidency, RefineEstimateTracksLiveTierAfterBackgroundDemotion) {
   const std::size_t target = origin == 2 ? 0 : 2;
   for (const auto& key : keys) tiers.migrate(key, target);
 
-  const double after = reader.estimated_refine_cost(0);
+  const double after = estimate(reader);
   EXPECT_NE(after, before);
   if (target > origin) {
     EXPECT_GT(after, before);  // demoted to a slower tier: pricier
@@ -384,7 +387,7 @@ TEST(StaleResidency, RefineEstimateTracksLiveTierAfterBackgroundDemotion) {
   // Planned == achieved: a reader opened fresh (which can only see live
   // residency) prices the step identically.
   cc::ProgressiveReader fresh(tiers, "d.bp", "v");
-  EXPECT_DOUBLE_EQ(after, fresh.estimated_refine_cost(0));
+  EXPECT_DOUBLE_EQ(after, estimate(fresh));
 }
 
 TEST(StaleResidency, PredictedTierRestampsOnObservedMigration) {
