@@ -1,11 +1,12 @@
 // google-benchmark microbenchmarks of the kernels underneath every figure:
 // codec encode/decode throughput, edge-collapse decimation, point location,
-// vertex mapping, delta calculation/restoration, and blob detection.
+// vertex mapping, delta calculation/restoration, rasterization and blob
+// detection (alone and as one XGC1 base answer).
 //
 // `--compare` switches to the scalar-vs-SIMD harness instead (no
 // google-benchmark): each vectorized hot kernel (crc32 slice-by-8, zfp
-// forward/inverse block transform, sz dequantization, delta estimate /
-// restore) runs both with util::simd forced scalar and with the runtime
+// forward/inverse block transform, sz dequantization) runs both with
+// util::simd forced scalar and with the runtime
 // dispatch active, verifies the outputs are bitwise-identical, and reports
 // best-of-N throughput. `--json` emits the table as JSON; `--min-speedup=R`
 // fails (nonzero exit) if any vectorized kernel falls below R, and — when a
@@ -205,6 +206,32 @@ static void BM_Rasterize(benchmark::State& state) {
 }
 BENCHMARK(BM_Rasterize)->Unit(benchmark::kMillisecond);
 
+// The base answer of the analysis workload: the base level of a 4-level
+// XGC1 cascade rasterized at 360 px over the L0 bounds, quantized against
+// [0, max dpot], and blob-detected with configuration 1.
+static void BM_XgcBaseAnswer(benchmark::State& state) {
+  const auto ds = sim::make_xgc_dataset({});
+  mesh::CascadeOptions opt;
+  opt.levels = 4;
+  const auto cascade = mesh::build_cascade(ds.mesh, ds.values, opt);
+  const auto& base = cascade.base();
+  const auto bounds = ds.mesh.bounds();
+  const double hi = *std::max_element(ds.values.begin(), ds.values.end());
+  analytics::BlobParams params;
+  params.threshold_step = 10;
+  params.min_threshold = 10;
+  params.max_threshold = 200;
+  params.min_area = 100;
+  constexpr std::size_t kPx = 360;
+  for (auto _ : state) {
+    const auto raster =
+        analytics::rasterize(base.mesh, base.values, kPx, kPx, bounds);
+    const auto img = analytics::to_gray8(raster, 0.0, hi);
+    benchmark::DoNotOptimize(analytics::detect_blobs(img, kPx, kPx, params));
+  }
+}
+BENCHMARK(BM_XgcBaseAnswer)->Unit(benchmark::kMillisecond);
+
 static void BM_SpatialOrder(benchmark::State& state) {
   const auto& ds = xgc_small();
   for (auto _ : state) {
@@ -375,32 +402,6 @@ int run_compare(bool json, double min_speedup) {
                                   }, 15));
   }
 
-  {  // Delta estimate loops (Algorithms 2+3) on the XGC mesh, barycentric
-     // interpolation (the arithmetic-heavy estimate mode).
-    const auto& ds = xgc_small();
-    mesh::DecimateOptions opt;
-    opt.ratio = 2.0;
-    const auto coarse = mesh::decimate(ds.mesh, ds.values, opt);
-    const auto mapping = core::build_mapping(ds.mesh, coarse.mesh);
-    const std::size_t bytes = ds.values.size() * sizeof(double);
-    mesh::Field delta, restored;
-    auto fn_delta = [&] {
-      delta = core::compute_delta(coarse.mesh, coarse.values, ds.values,
-                                  mapping, core::EstimateMode::kBarycentric);
-    };
-    rows.push_back(compare_kernel("delta_estimate", bytes, fn_delta, [&] {
-      return bytes_of(delta.data(), delta.size() * sizeof(double));
-    }, 15));
-    fn_delta();
-    auto fn_restore = [&] {
-      restored = core::restore_level(coarse.mesh, coarse.values, delta, mapping,
-                                     core::EstimateMode::kBarycentric);
-    };
-    rows.push_back(compare_kernel("delta_restore", bytes, fn_restore, [&] {
-      return bytes_of(restored.data(), restored.size() * sizeof(double));
-    }, 15));
-  }
-
   const bool vector_isa =
       util::simd::hardware_isa() != util::simd::Isa::kScalar;
   bool all_identical = true;
@@ -458,7 +459,7 @@ int main(int argc, char** argv) {
   bool compare = false;
   bool json = false;
   // The floor tolerates ~10% wall-clock jitter: near-parity kernels (the
-  // gather-bound delta loops) would otherwise flake on shared hosts.
+  // zfp transforms) would otherwise flake on shared hosts.
   double min_speedup = 0.9;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

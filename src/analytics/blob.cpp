@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "util/assert.hpp"
@@ -10,13 +11,96 @@ namespace canopus::analytics {
 
 namespace {
 
-/// Union-find over pixel labels for two-pass connected-component labeling.
-class UnionFind {
+/// One threshold slice's 8-connected labelling by runs: each row's bright
+/// runs are joined (union-find) with the runs of the previous row they touch
+/// diagonally or directly. Component sums are integers (a run of length n
+/// from x0 adds n, n·x0 + n(n-1)/2 and n·y), so they equal the per-pixel
+/// double sums exactly. Buffers are reused from slice to slice.
+class SliceLabeller {
  public:
-  std::uint32_t make() {
-    parent_.push_back(static_cast<std::uint32_t>(parent_.size()));
-    return parent_.back();
+  /// Appends the bright components of `image` (pixels > threshold) within
+  /// the area filter to `out`, in the order of their first pixel in raster
+  /// order.
+  void label(const std::vector<std::uint8_t>& image, std::size_t width,
+             std::size_t height, double threshold, const BlobParams& params,
+             std::vector<Blob>& out) {
+    // For an 8-bit pixel v, v > t exactly when v > floor(t).
+    const auto cut = static_cast<int>(std::clamp(std::floor(threshold), -1.0, 255.0));
+    runs_.clear();
+    parent_.clear();
+    bright_.resize(width);
+    std::size_t prev = 0;  // first run of the previous row
+    for (std::size_t y = 0; y < height; ++y) {
+      const std::uint8_t* row = image.data() + y * width;
+      for (std::size_t x = 0; x < width; ++x) bright_[x] = row[x] > cut;
+      const std::size_t first = runs_.size();
+      for (std::size_t x = 0; x < width;) {
+        x = run_end(x, width, 0);
+        if (x == width) break;
+        const std::size_t x0 = x;
+        x = run_end(x, width, 1);
+        runs_.push_back({x0, x, y});
+        parent_.push_back(static_cast<std::uint32_t>(parent_.size()));
+      }
+      // Runs [a0, a1) above and [b0, b1) here touch iff a0 <= b1 && b0 <= a1.
+      std::size_t p = prev;
+      for (std::size_t r = first; r < runs_.size(); ++r) {
+        while (p < first && runs_[p].x1 < runs_[r].x0) ++p;
+        for (std::size_t q = p; q < first && runs_[q].x0 <= runs_[r].x1; ++q) {
+          unite(static_cast<std::uint32_t>(q), static_cast<std::uint32_t>(r));
+        }
+      }
+      prev = first;
+    }
+
+    constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+    comp_of_.assign(runs_.size(), kNone);
+    comps_.clear();
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      const auto root = find(static_cast<std::uint32_t>(r));
+      if (comp_of_[root] == kNone) {
+        comp_of_[root] = static_cast<std::uint32_t>(comps_.size());
+        comps_.emplace_back();
+      }
+      auto& c = comps_[comp_of_[root]];
+      const Run& run = runs_[r];
+      const std::uint64_t n = run.x1 - run.x0;
+      c.area += n;
+      c.sum_x += n * run.x0 + n * (n - 1) / 2;
+      c.sum_y += n * run.y;
+    }
+    for (const auto& c : comps_) {
+      const auto area = static_cast<double>(c.area);
+      if (area < params.min_area || area > params.max_area) continue;
+      Blob b;
+      b.center = {static_cast<double>(c.sum_x) / area,
+                  static_cast<double>(c.sum_y) / area};
+      b.area = area;
+      b.diameter = 2.0 * std::sqrt(area / std::numbers::pi);
+      out.push_back(b);
+    }
   }
+
+ private:
+  struct Run {
+    std::size_t x0, x1, y;  // pixels [x0, x1) of row y
+  };
+  struct Component {
+    std::uint64_t area = 0, sum_x = 0, sum_y = 0;
+  };
+
+  /// First x' >= x with bright_[x'] != flag (or width): skips eight pixels
+  /// a step through uniform stretches.
+  std::size_t run_end(std::size_t x, std::size_t width, std::uint8_t flag) const {
+    const std::uint64_t same = flag * 0x0101010101010101ull;
+    for (std::uint64_t word = 0; x + 8 <= width; x += 8) {
+      std::memcpy(&word, bright_.data() + x, sizeof word);
+      if (word != same) break;
+    }
+    while (x < width && bright_[x] == flag) ++x;
+    return x;
+  }
+
   std::uint32_t find(std::uint32_t x) {
     while (parent_[x] != x) {
       parent_[x] = parent_[parent_[x]];
@@ -30,86 +114,12 @@ class UnionFind {
     if (a != b) parent_[std::max(a, b)] = std::min(a, b);
   }
 
- private:
+  std::vector<std::uint8_t> bright_;  // 1 where the current row is bright
+  std::vector<Run> runs_;
   std::vector<std::uint32_t> parent_;
+  std::vector<std::uint32_t> comp_of_;
+  std::vector<Component> comps_;
 };
-
-struct Component {
-  double sum_x = 0.0;
-  double sum_y = 0.0;
-  std::size_t area = 0;
-
-  mesh::Vec2 centroid() const {
-    const double n = static_cast<double>(area);
-    return {sum_x / n, sum_y / n};
-  }
-};
-
-/// One threshold slice: binarize at `threshold` and return the centers/areas
-/// of 8-connected bright components within the area filter.
-std::vector<Blob> slice_blobs(const std::vector<std::uint8_t>& image,
-                              std::size_t width, std::size_t height,
-                              double threshold, const BlobParams& params) {
-  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> label(width * height, kNone);
-  UnionFind uf;
-  auto bright = [&](std::size_t x, std::size_t y) {
-    return static_cast<double>(image[y * width + x]) > threshold;
-  };
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      if (!bright(x, y)) continue;
-      // Previously scanned 8-neighbors: W, NW, N, NE.
-      std::uint32_t best = kNone;
-      const auto consider = [&](std::size_t nx, std::size_t ny) {
-        const auto l = label[ny * width + nx];
-        if (l == kNone) return;
-        if (best == kNone) {
-          best = l;
-        } else {
-          uf.unite(best, l);
-        }
-      };
-      if (x > 0) consider(x - 1, y);
-      if (y > 0) {
-        consider(x, y - 1);
-        if (x > 0) consider(x - 1, y - 1);
-        if (x + 1 < width) consider(x + 1, y - 1);
-      }
-      label[y * width + x] = best == kNone ? uf.make() : best;
-    }
-  }
-  // Accumulate per-root statistics.
-  std::vector<Component> comps;
-  std::vector<std::uint32_t> root_to_comp;
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      auto l = label[y * width + x];
-      if (l == kNone) continue;
-      const auto root = uf.find(l);
-      if (root >= root_to_comp.size()) root_to_comp.resize(root + 1, kNone);
-      if (root_to_comp[root] == kNone) {
-        root_to_comp[root] = static_cast<std::uint32_t>(comps.size());
-        comps.emplace_back();
-      }
-      auto& c = comps[root_to_comp[root]];
-      c.sum_x += static_cast<double>(x);
-      c.sum_y += static_cast<double>(y);
-      ++c.area;
-    }
-  }
-  std::vector<Blob> out;
-  for (const auto& c : comps) {
-    const auto area = static_cast<double>(c.area);
-    if (area < params.min_area || area > params.max_area) continue;
-    Blob b;
-    b.center = c.centroid();
-    b.area = area;
-    b.diameter = 2.0 * std::sqrt(area / std::numbers::pi);
-    out.push_back(b);
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -126,9 +136,12 @@ std::vector<Blob> detect_blobs(const std::vector<std::uint8_t>& image,
   };
   std::vector<Track> tracks;
 
+  SliceLabeller labeller;
+  std::vector<Blob> slice;
   for (double t = params.min_threshold; t < params.max_threshold;
        t += params.threshold_step) {
-    const auto slice = slice_blobs(image, width, height, t, params);
+    slice.clear();
+    labeller.label(image, width, height, t, params, slice);
     for (const auto& b : slice) {
       Track* best = nullptr;
       double best_d = params.min_dist_between_blobs;

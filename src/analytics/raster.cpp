@@ -20,21 +20,22 @@ RasterField rasterize(const mesh::TriMesh& mesh, const mesh::Field& values,
   out.inside.assign(width * height, false);
 
   const mesh::PointLocator locator(mesh);
-  const double dx = bounds.width() / static_cast<double>(width);
-  const double dy = bounds.height() / static_cast<double>(height);
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      const mesh::Vec2 p{bounds.lo.x + (static_cast<double>(x) + 0.5) * dx,
-                         bounds.lo.y + (static_cast<double>(y) + 0.5) * dy};
-      const auto loc = locator.try_locate(p);
-      if (!loc) continue;  // outside the mesh: keep background
-      const auto& tri = mesh.triangle(loc->triangle);
-      out.at(x, y) = values[tri.v[0]] * loc->weights[0] +
-                     values[tri.v[1]] * loc->weights[1] +
-                     values[tri.v[2]] * loc->weights[2];
-      out.inside[y * width + x] = true;
-    }
-  }
+  const mesh::Lattice lattice{bounds.lo,
+                              {bounds.width() / static_cast<double>(width),
+                               bounds.height() / static_cast<double>(height)},
+                              width, height};
+  locator.locate_lattice(
+      lattice, [&](std::size_t y, std::span<const std::optional<mesh::Location>> row) {
+        for (std::size_t x = 0; x < width; ++x) {
+          if (!row[x]) continue;  // outside the mesh: keep background
+          const auto& loc = *row[x];
+          const auto& tri = mesh.triangle(loc.triangle);
+          out.at(x, y) = values[tri.v[0]] * loc.weights[0] +
+                         values[tri.v[1]] * loc.weights[1] +
+                         values[tri.v[2]] * loc.weights[2];
+          out.inside[y * width + x] = true;
+        }
+      });
   return out;
 }
 
