@@ -19,8 +19,8 @@ namespace {
 /// Total compressed size of base + deltas for a config variation.
 std::size_t stored_size(const sim::Dataset& ds, const core::RefactorConfig& cfg) {
   auto tiers = bench::make_two_tier(8 << 20);
-  const auto report = core::refactor_and_write(tiers, "a.bp", ds.variable,
-                                               ds.mesh, ds.values, cfg);
+  const auto report = bench::write_field(tiers, "a.bp", ds.variable, ds.mesh,
+                                         ds.values, cfg);
   return report.total_stored_bytes();
 }
 
@@ -110,15 +110,14 @@ int main(int argc, char** argv) {
                        {bench::contended_lustre_spec(8ull << 30)});
       auto cfg = base_cfg;
       cfg.tiered_placement = tiered;
-      core::refactor_and_write(tiers, "p.bp", ds.variable, ds.mesh, ds.values,
-                               cfg);
-      core::ProgressiveReader quick(tiers, "p.bp", ds.variable);
-      const double base_io = quick.cumulative().io_seconds;
-      core::ProgressiveReader full(tiers, "p.bp", ds.variable);
-      full.refine_to(0);
+      bench::write_field(tiers, "p.bp", ds.variable, ds.mesh, ds.values, cfg);
+      const auto quick = bench::open_reader(tiers, "p.bp", ds.variable);
+      const double base_io = quick->cumulative().io_seconds;
+      const auto full = bench::open_reader(tiers, "p.bp", ds.variable);
+      full->refine_to(0);
       t.add_row({tiered ? "tiered (paper)" : "pfs-only",
                  util::Table::num(base_io, 4),
-                 util::Table::num(full.cumulative().io_seconds, 4)});
+                 util::Table::num(full->cumulative().io_seconds, 4)});
     }
     t.print(std::cout, "Ablation 4: placement policy (simulated I/O)");
     std::cout << '\n';
@@ -135,14 +134,16 @@ int main(int argc, char** argv) {
       auto cfg = base_cfg;
       cfg.levels = 2;
       cfg.delta_chunks = chunks;
-      const auto report = core::refactor_and_write(tiers, "c.bp", ds.variable,
-                                                   ds.mesh, ds.values, cfg);
+      const auto report = bench::write_field(tiers, "c.bp", ds.variable,
+                                             ds.mesh, ds.values, cfg);
       const auto geometry =
           core::GeometryCache::load(tiers, "c.bp", ds.variable);
-      core::ProgressiveReader focused(tiers, "c.bp", ds.variable, &geometry);
-      const auto roi_step = focused.refine_region(roi);
-      core::ProgressiveReader full(tiers, "c.bp", ds.variable, &geometry);
-      const auto full_step = full.refine();
+      const auto focused = bench::open_reader(tiers, "c.bp", ds.variable,
+                                              &geometry);
+      const auto roi_step = focused->refine_region(roi);
+      const auto full = bench::open_reader(tiers, "c.bp", ds.variable,
+                                           &geometry);
+      const auto full_step = full->refine();
       t.add_row({std::to_string(chunks),
                  std::to_string(report.total_stored_bytes()),
                  std::to_string(roi_step.bytes_read),

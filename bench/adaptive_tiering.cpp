@@ -116,8 +116,8 @@ PassResult run_pass(const mesh::TriMesh& mesh, const mesh::Field& va,
   config.codec = "zfp";
   config.error_bound = 1e-6;
   config.delta_chunks = 8;
-  core::refactor_and_write(tiers, "a.bp", "v", mesh, va, config);
-  core::refactor_and_write(tiers, "b.bp", "v", mesh, vb, config);
+  bench::write_field(tiers, "a.bp", "v", mesh, va, config);
+  bench::write_field(tiers, "b.bp", "v", mesh, vb, config);
   strand_deltas(tiers, "a.bp", "v");
   strand_deltas(tiers, "b.bp", "v");
 
@@ -132,14 +132,14 @@ PassResult run_pass(const mesh::TriMesh& mesh, const mesh::Field& va,
   PassResult result;
   for (const char* path : {"a.bp", "b.bp"}) {
     for (std::int64_t q = 0; q < queries; ++q) {
-      core::ProgressiveReader reader(tiers, path, "v");
-      reader.refine_to(0);
-      result.io_seconds += reader.cumulative().io_seconds;
-      result.fields.push_back(reader.values());
+      const auto reader = bench::open_reader(tiers, path, "v");
+      reader->refine_to(0);
+      result.io_seconds += reader->cumulative().io_seconds;
+      result.fields.push_back(reader->values());
       const std::size_t moves = advisor ? advisor->tick() : 0;
       if (verbose) {
         std::cout << "    " << path << " q" << q << ": "
-                  << reader.cumulative().io_seconds << " sim-s io, " << moves
+                  << reader->cumulative().io_seconds << " sim-s io, " << moves
                   << " moves\n";
       }
     }
@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
   }
   check(identical, "every restored field bitwise-identical across runs");
 
-  bench::flush_observability(std::cout);
+  bench::print_trace_summary(std::cout);
   if (!ok) {
     std::cout << "\nFAIL: adaptive tiering acceptance criteria not met\n";
     return 1;

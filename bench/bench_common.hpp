@@ -18,6 +18,7 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "adios/bp.hpp"
@@ -48,6 +49,45 @@ inline storage::TierSpec contended_lustre_spec(std::size_t capacity) {
 inline storage::StorageHierarchy make_two_tier(std::size_t fast_capacity) {
   return storage::StorageHierarchy(
       {storage::tmpfs_spec(fast_capacity), contended_lustre_spec(8ull << 30)});
+}
+
+// write_field / open_reader: one call each on a default-options Pipeline
+// over `tiers`. A failed Status throws Error (benches end bad runs that way).
+
+/// Pipeline::write of (mesh, values) as `var` into `path`; returns the report.
+inline core::RefactorReport write_field(storage::StorageHierarchy& tiers,
+                                        const std::string& path,
+                                        const std::string& var,
+                                        const mesh::TriMesh& mesh,
+                                        const mesh::Field& values,
+                                        const core::RefactorConfig& config) {
+  Pipeline pipeline(tiers);
+  WriteRequest request;
+  request.path = path;
+  request.var = var;
+  request.mesh = &mesh;
+  request.values = &values;
+  request.config = config;
+  WriteResult result;
+  const Status status = pipeline.write(request, &result);
+  if (!status.ok()) throw Error("write " + path + ": " + status.to_string());
+  return std::move(result.report);
+}
+
+/// Pipeline::open of `var` at base accuracy. `geometry` (optional) must
+/// outlive the reader.
+inline std::unique_ptr<core::ProgressiveReader> open_reader(
+    storage::StorageHierarchy& tiers, const std::string& path,
+    const std::string& var, const core::GeometryCache* geometry = nullptr) {
+  Pipeline pipeline(tiers);
+  ReadRequest request;
+  request.path = path;
+  request.var = var;
+  request.geometry = geometry;
+  std::unique_ptr<core::ProgressiveReader> reader;
+  const Status status = pipeline.open(request, &reader);
+  if (!status.ok()) throw Error("open " + path + ": " + status.to_string());
+  return reader;
 }
 
 /// The paper's three blob-detection configs <minThreshold, maxThreshold,
@@ -89,7 +129,7 @@ struct PipelineCase {
 /// `full_restoration` receives the Fig. 9b/10b/11b series: the time to
 /// restore the *full* accuracy L0 from the base and every delta at each
 /// ratio (the "None" entry is the raw read).
-struct PipelineOptions {
+struct CaseOptions {
   std::vector<int> ratios{2, 4, 8, 16, 32};
   bool detect_blobs = false;
   std::size_t raster_px = 360;
@@ -129,22 +169,22 @@ struct PipelineOptions {
   std::uint32_t delta_chunks = 1;
 };
 
-/// Shared --threads flag (see PipelineOptions::threads).
+/// Shared --threads flag (see CaseOptions::threads).
 inline std::size_t threads_flag(const util::Cli& cli) {
   return static_cast<std::size_t>(cli.get_int("threads", 0));
 }
 
-/// Shared --cache-mb / --sessions flags (see PipelineOptions::cache_mb and
-/// PipelineOptions::sessions).
-inline void session_flags(const util::Cli& cli, PipelineOptions& opt) {
+/// Shared --cache-mb / --sessions flags (see CaseOptions::cache_mb and
+/// CaseOptions::sessions).
+inline void session_flags(const util::Cli& cli, CaseOptions& opt) {
   opt.cache_mb = static_cast<std::size_t>(cli.get_int("cache-mb", 0));
   opt.sessions = static_cast<std::size_t>(
       std::max<std::int64_t>(1, cli.get_int("sessions", 1)));
 }
 
 /// Shared --io-depth / --io-batch / --delta-chunks flags (see
-/// PipelineOptions::io_depth, io_batch, delta_chunks).
-inline void io_flags(const util::Cli& cli, PipelineOptions& opt) {
+/// CaseOptions::io_depth, io_batch, delta_chunks).
+inline void io_flags(const util::Cli& cli, CaseOptions& opt) {
   opt.io_depth = static_cast<std::uint32_t>(
       std::max<std::int64_t>(1, cli.get_int("io-depth", 1)));
   opt.io_batch = static_cast<std::uint32_t>(
@@ -166,7 +206,7 @@ inline void observability_flags(const util::Cli& cli) {
 
 /// End-of-run companion of observability_flags(): prints the span/metric
 /// summary tables and writes the Chrome trace. No-op when disabled.
-inline void flush_observability(std::ostream& os) {
+inline void print_trace_summary(std::ostream& os) {
   if (!obs::enabled()) return;
   obs::write_summary(os);
   const auto path = obs::flush();
@@ -178,7 +218,7 @@ inline void flush_observability(std::ostream& os) {
 /// sequences of the independent per-case hierarchies — with one shared seed
 /// every case would replay the same fault prefix.
 inline void apply_fault_model(storage::StorageHierarchy& tiers,
-                              const PipelineOptions& opt,
+                              const CaseOptions& opt,
                               std::uint64_t stream = 0) {
   if (opt.fault_rate <= 0.0) return;
   auto injector = std::make_shared<storage::FaultInjector>(
@@ -198,7 +238,7 @@ inline void apply_fault_model(storage::StorageHierarchy& tiers,
 }
 
 inline std::vector<PipelineCase> run_pipeline(
-    const sim::Dataset& ds, const PipelineOptions& opt,
+    const sim::Dataset& ds, const CaseOptions& opt,
     std::vector<PipelineCase>* full_restoration = nullptr) {
   const std::size_t raw_bytes = ds.values.size() * sizeof(double);
   const auto bounds = ds.mesh.bounds();
@@ -254,7 +294,7 @@ inline std::vector<PipelineCase> run_pipeline(
     auto tiers = make_two_tier(raw_bytes);  // base always fits the fast tier
     // The facade: one Pipeline per case carries the concurrency knobs;
     // requests carry the per-call parameters.
-    canopus::PipelineOptions popt;
+    canopus::Options popt;
     popt.parallel.threads = opt.threads;
     // Fault-injected cases keep the serial read path: read-ahead would issue
     // speculative reads and shift the injector's seeded decision stream.

@@ -59,12 +59,12 @@ double max_abs_error(const mesh::Field& got, const mesh::Field& want) {
   return e;
 }
 
-ConfigResult run_config(const sim::Dataset& ds, const bench::PipelineOptions& opt,
+ConfigResult run_config(const sim::Dataset& ds, const bench::CaseOptions& opt,
                         bool cached) {
   const std::size_t raw_bytes = ds.values.size() * sizeof(double);
   auto tiers = bench::make_two_tier(raw_bytes);
 
-  canopus::PipelineOptions popt;
+  canopus::Options popt;
   popt.parallel.threads = opt.threads;
   popt.io.depth = opt.io_depth;
   popt.io.batch = opt.io_batch;
@@ -168,7 +168,7 @@ struct ClusterResult {
 /// cache each), the staged container sharded across them, and
 /// `opt.sessions` full-accuracy sessions spread round-robin.
 ClusterResult run_fabric_config(const sim::Dataset& ds,
-                                const bench::PipelineOptions& opt,
+                                const bench::CaseOptions& opt,
                                 storage::StorageHierarchy& staging,
                                 std::size_t run_nodes,
                                 std::size_t fast_capacity,
@@ -193,7 +193,7 @@ ClusterResult run_fabric_config(const sim::Dataset& ds,
   const auto geometry =
       core::GeometryCache::load(cluster.node(0), "run.bp", ds.variable);
 
-  canopus::PipelineOptions popt;
+  canopus::Options popt;
   popt.parallel.threads = opt.threads;
   popt.io.depth = opt.io_depth;
   popt.io.batch = opt.io_batch;
@@ -244,7 +244,7 @@ ClusterResult run_fabric_config(const sim::Dataset& ds,
   return r;
 }
 
-int run_cluster_bench(const sim::Dataset& ds, const bench::PipelineOptions& opt,
+int run_cluster_bench(const sim::Dataset& ds, const bench::CaseOptions& opt,
                       std::size_t nodes) {
   const std::size_t raw_bytes = ds.values.size() * sizeof(double);
   std::cout << "cluster mode: " << nodes << " simulated nodes, "
@@ -255,7 +255,7 @@ int run_cluster_bench(const sim::Dataset& ds, const bench::PipelineOptions& opt,
   // ranges split evenly.
   storage::StorageHierarchy staging({storage::tmpfs_spec(1ull << 30)});
   {
-    canopus::PipelineOptions popt;
+    canopus::Options popt;
     popt.parallel.threads = opt.threads;
     Pipeline writer(staging, popt);
     WriteRequest wreq;
@@ -340,7 +340,7 @@ int run_cluster_bench(const sim::Dataset& ds, const bench::PipelineOptions& opt,
             << util::Table::num(ratio, 1) << "x\n";
 
   std::cout << '\n';
-  bench::flush_observability(std::cout);
+  bench::print_trace_summary(std::cout);
 
   if (!identical || cluster.stats.remote_reads == 0 || ratio < 1.0) {
     std::cout << "\nFAIL: expected remote reads, bitwise-identical fields, "
@@ -354,7 +354,7 @@ int run_cluster_bench(const sim::Dataset& ds, const bench::PipelineOptions& opt,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  bench::PipelineOptions opt;
+  bench::CaseOptions opt;
   opt.error_bound = cli.get_double("eb", 1e-4);
   opt.threads = bench::threads_flag(cli);
   opt.cache_mb = static_cast<std::size_t>(cli.get_int("cache-mb", 64));
@@ -435,7 +435,7 @@ int main(int argc, char** argv) {
             << util::Table::num(speedup, 1) << "x\n";
 
   std::cout << '\n';
-  bench::flush_observability(std::cout);
+  bench::print_trace_summary(std::cout);
 
   if (!identical || speedup < 2.0) {
     std::cout << "\nFAIL: expected bitwise-identical fields and >=2x speedup\n";

@@ -398,7 +398,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << '\n';
-  bench::flush_observability(std::cout);
+  bench::print_trace_summary(std::cout);
 
   if (!ok) {
     std::cout << "\nFAIL: elastic acceptance criteria not met\n";

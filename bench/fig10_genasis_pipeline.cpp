@@ -9,7 +9,7 @@ using namespace canopus;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  bench::PipelineOptions opt;
+  bench::CaseOptions opt;
   opt.detect_blobs = false;
   opt.error_bound = cli.get_double("eb", 1e-4);
   opt.threads = bench::threads_flag(cli);
@@ -32,6 +32,6 @@ int main(int argc, char** argv) {
       "Fig. 10b restoring full accuracy from base + deltas", full, false,
       std::cout);
   std::cout << '\n';
-  bench::flush_observability(std::cout);
+  bench::print_trace_summary(std::cout);
   return 0;
 }

@@ -9,7 +9,7 @@ using namespace canopus;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  bench::PipelineOptions opt;
+  bench::CaseOptions opt;
   opt.detect_blobs = false;
   opt.ratios = {2, 4, 8};  // the CFD mesh is small; the paper stops at 8x
   opt.error_bound = cli.get_double("eb", 1e-4);
@@ -32,6 +32,6 @@ int main(int argc, char** argv) {
       "Fig. 11b restoring full accuracy from base + deltas", full, false,
       std::cout);
   std::cout << '\n';
-  bench::flush_observability(std::cout);
+  bench::print_trace_summary(std::cout);
   return 0;
 }

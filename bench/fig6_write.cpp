@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
   // nominal Lustre envelope (the contended spec models shared-read analytics).
   storage::StorageHierarchy tiers(
       {storage::tmpfs_spec(1 << 20), storage::lustre_spec(8ull << 30)});
-  const auto report = core::refactor_and_write(tiers, "fig6.bp", "dpot",
-                                               ds.mesh, ds.values, config);
+  const auto report = bench::write_field(tiers, "fig6.bp", "dpot", ds.mesh,
+                                         ds.values, config);
   const double decim_1core = report.phases.get("decimation");
   const double delta_1core = report.phases.get("delta+compress");
   const double io_shared = report.phases.get("io");

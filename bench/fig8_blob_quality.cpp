@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   config.levels = levels;
   config.codec = "zfp";
   config.error_bound = 1e-4;
-  core::refactor_and_write(tiers, "fig8.bp", "dpot", ds.mesh, ds.values, config);
+  bench::write_field(tiers, "fig8.bp", "dpot", ds.mesh, ds.values, config);
 
   const auto bounds = ds.mesh.bounds();
   // Clamp intensities at zero: blobs are positive over-densities and the
@@ -50,21 +50,21 @@ int main(int argc, char** argv) {
   };
   std::vector<LevelImage> images;
   {
-    core::ProgressiveReader reader(tiers, "fig8.bp", "dpot");
+    const auto reader = bench::open_reader(tiers, "fig8.bp", "dpot");
     for (;;) {
-      const auto raster = analytics::rasterize(reader.current_mesh(),
-                                               reader.values(), raster_px,
+      const auto raster = analytics::rasterize(reader->current_mesh(),
+                                               reader->values(), raster_px,
                                                raster_px, bounds, lo);
-      const double ratio = reader.decimation_ratio();
+      const double ratio = reader->decimation_ratio();
       LevelImage img;
-      img.level = reader.current_level();
-      img.label = reader.at_full_accuracy()
+      img.level = reader->current_level();
+      img.label = reader->at_full_accuracy()
                       ? "None"
                       : std::to_string(static_cast<int>(std::round(ratio)));
       img.gray = analytics::to_gray8(raster, lo, hi);
       images.push_back(std::move(img));
-      if (reader.at_full_accuracy()) break;
-      reader.refine();
+      if (reader->at_full_accuracy()) break;
+      reader->refine();
     }
   }
   std::reverse(images.begin(), images.end());  // None first, then 2, 4, ...

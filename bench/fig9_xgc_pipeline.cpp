@@ -15,7 +15,7 @@ using namespace canopus;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  bench::PipelineOptions opt;
+  bench::CaseOptions opt;
   opt.detect_blobs = true;
   opt.raster_px = static_cast<std::size_t>(cli.get_int("raster", 360));
   opt.error_bound = cli.get_double("eb", 1e-4);
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     const std::uint32_t depth = std::max<std::uint32_t>(8, opt.io_depth);
     const std::uint32_t chunks = std::max<std::uint32_t>(8, opt.delta_chunks);
     auto tiers = bench::make_two_tier(ds.values.size() * sizeof(double));
-    canopus::PipelineOptions popt;
+    canopus::Options popt;
     popt.parallel.threads = opt.threads;
     Pipeline write_pipe(tiers, popt);
     WriteRequest wreq;
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     rreq.target_level = 0;
 
     auto run_side = [&](std::uint32_t io_depth) {
-      canopus::PipelineOptions side = popt;
+      canopus::Options side = popt;
       side.io.depth = io_depth;
       side.io.batch = opt.io_batch;
       Pipeline p(tiers, side);
@@ -139,6 +139,6 @@ int main(int argc, char** argv) {
             << " faster (paper reports up to ~50%)\n";
 
   std::cout << '\n';
-  bench::flush_observability(std::cout);
+  bench::print_trace_summary(std::cout);
   return 0;
 }

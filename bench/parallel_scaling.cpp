@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -73,11 +74,8 @@ int main(int argc, char** argv) {
 
   // Campaign regime: the cascade is built once per mesh and shared by every
   // timestep, so the sweep times only the per-variable pipeline.
-  cm::CascadeOptions copt;
-  copt.levels = config.levels;
-  copt.step = config.step;
-  copt.decimate = config.decimate;
-  const auto cascade = cm::build_cascade(mesh, values, copt);
+  const auto cascade =
+      cm::build_cascade(mesh, values, cc::cascade_options(config));
 
   std::vector<std::size_t> sweep;
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -102,28 +100,40 @@ int main(int argc, char** argv) {
   double e2e_1 = 0.0;
   bool first_row = true;
   for (const std::size_t threads : sweep) {
-    config.parallel.threads = threads;
-    cc::ReaderOptions ropt;
-    ropt.parallel.threads = threads;
-    ropt.parallel.read_ahead = threads > 1;
+    canopus::Options options;
+    options.parallel.threads = threads;
+    options.parallel.read_ahead = threads > 1;
 
     Sample best;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       Sample s;
-      auto tiers = roomy_tiers();
+      canopus::Pipeline pipeline(roomy_tiers(), options);
       {
+        canopus::WriteRequest request;
+        request.path = "scale.bp";
+        request.var = "v";
+        request.cascade = &cascade;
+        request.config = config;
         cu::WallTimer t;
-        cc::refactor_and_write(tiers, "scale.bp", "v", cascade, config);
+        const auto status = pipeline.write(request);
         s.refactor_s = t.seconds();
+        if (!status.ok()) throw canopus::Error(status.to_string());
       }
-      const auto geometry = cc::GeometryCache::load(tiers, "scale.bp", "v");
+      const auto geometry =
+          cc::GeometryCache::load(pipeline.hierarchy(), "scale.bp", "v");
       cm::Field restored;
       {
+        canopus::ReadRequest request;
+        request.path = "scale.bp";
+        request.var = "v";
+        request.geometry = &geometry;
+        std::unique_ptr<cc::ProgressiveReader> reader;
         cu::WallTimer t;
-        cc::ProgressiveReader reader(tiers, "scale.bp", "v", &geometry, ropt);
-        reader.refine_to(0);
+        const auto status = pipeline.open(request, &reader);
+        if (!status.ok()) throw canopus::Error(status.to_string());
+        reader->refine_to(0);
         s.restore_s = t.seconds();
-        restored = reader.values();
+        restored = reader->values();
       }
       if (reference.empty()) {
         reference = restored;  // first rep of the first (1-thread) entry

@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
     config.levels = 6;
     config.codec = "zfp";
     config.error_bound = 1e-6;
-    core::refactor_and_write(tiers, "q.bp", ds.variable, ds.mesh, ds.values,
-                             config);
+    bench::write_field(tiers, "q.bp", ds.variable, ds.mesh, ds.values, config);
 
     const auto bounds = ds.mesh.bounds();
     const auto reference = analytics::rasterize(ds.mesh, ds.values, raster_px,
@@ -34,11 +33,11 @@ int main(int argc, char** argv) {
 
     util::Table t({"decimation", "vertices", "nrmse", "psnr-dB",
                    "min-angle", "mean-min-angle", "slivers"});
-    core::ProgressiveReader reader(tiers, "q.bp", ds.variable);
+    const auto reader = bench::open_reader(tiers, "q.bp", ds.variable);
     std::vector<std::vector<std::string>> rows;
     for (;;) {
       const auto raster =
-          analytics::rasterize(reader.current_mesh(), reader.values(),
+          analytics::rasterize(reader->current_mesh(), reader->values(),
                                raster_px, raster_px, bounds, 0.0);
       // Compare only pixels covered by both meshes (decimation shrinks rims).
       std::vector<double> ref, got;
@@ -48,16 +47,16 @@ int main(int argc, char** argv) {
           got.push_back(raster.pixels[i]);
         }
       }
-      const auto quality = mesh::quality_stats(reader.current_mesh());
-      rows.push_back({util::Table::num(reader.decimation_ratio(), 1),
-                      std::to_string(reader.values().size()),
+      const auto quality = mesh::quality_stats(reader->current_mesh());
+      rows.push_back({util::Table::num(reader->decimation_ratio(), 1),
+                      std::to_string(reader->values().size()),
                       util::Table::num(util::nrmse(ref, got), 5),
                       util::Table::num(util::psnr(ref, got), 1),
                       util::Table::num(quality.min_angle_deg, 1),
                       util::Table::num(quality.mean_min_angle_deg, 1),
                       std::to_string(quality.sliver_count)});
-      if (reader.at_full_accuracy()) break;
-      reader.refine();
+      if (reader->at_full_accuracy()) break;
+      reader->refine();
     }
     std::reverse(rows.begin(), rows.end());  // full accuracy first
     for (auto& row : rows) t.add_row(std::move(row));

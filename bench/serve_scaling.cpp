@@ -213,9 +213,9 @@ int main(int argc, char** argv) {
   const std::size_t raw_bytes = ds.values.size() * sizeof(double);
   auto tiers = bench::make_two_tier(raw_bytes);
 
-  bench::PipelineOptions io_opt;
+  bench::CaseOptions io_opt;
   bench::io_flags(cli, io_opt);
-  canopus::PipelineOptions popt;
+  canopus::Options popt;
   popt.parallel.threads = bench::threads_flag(cli);
   popt.io.depth = io_opt.io_depth;
   popt.io.batch = io_opt.io_batch;
@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
   // The scheduled pipeline is separate so its serve knobs apply and the
   // baseline's sessions cannot warm anything for it (and vice versa: no
   // cache is configured, every query pays its own tier reads).
-  canopus::PipelineOptions spopt;
+  canopus::Options spopt;
   spopt.parallel.threads = bench::threads_flag(cli);
   spopt.io.depth = io_opt.io_depth;
   spopt.io.batch = io_opt.io_batch;
@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << '\n';
-  bench::flush_observability(std::cout);
+  bench::print_trace_summary(std::cout);
 
   if (!ok) {
     std::cout << "\nFAIL: acceptance criteria not met\n";

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "analytics/blob.hpp"
 #include "analytics/raster.hpp"
@@ -35,11 +36,20 @@ int main(int argc, char** argv) {
 
   storage::StorageHierarchy tiers(
       {storage::tmpfs_spec(1 << 20), storage::lustre_spec(1 << 30)});
-  core::RefactorConfig config;
-  config.levels = levels;
-  config.codec = "zfp";
-  config.error_bound = 1e-4;
-  core::refactor_and_write(tiers, "xgc.bp", "dpot", ds.mesh, ds.values, config);
+  Pipeline pipeline(tiers);
+  WriteRequest wreq;
+  wreq.path = "xgc.bp";
+  wreq.var = "dpot";
+  wreq.mesh = &ds.mesh;
+  wreq.values = &ds.values;
+  wreq.config.levels = levels;
+  wreq.config.codec = "zfp";
+  wreq.config.error_bound = 1e-4;
+  const Status ws = pipeline.write(wreq);
+  if (!ws.ok()) {
+    std::printf("write failed: %s\n", ws.to_string().c_str());
+    return 1;
+  }
 
   // Fixed raster frame and intensity range from the full-accuracy data so
   // images at every level are comparable.
@@ -59,25 +69,34 @@ int main(int argc, char** argv) {
       analytics::to_gray8(full_raster, lo, hi), raster_px, raster_px, params);
   std::printf("reference (L0): %zu blobs detected\n\n", reference.size());
 
-  core::ProgressiveReader reader(tiers, "xgc.bp", "dpot");
+  ReadRequest rreq;
+  rreq.path = "xgc.bp";
+  rreq.var = "dpot";
+  std::unique_ptr<core::ProgressiveReader> reader;
+  const Status rs = pipeline.open(rreq, &reader);
+  if (!rs.ok()) {
+    std::printf("open failed: %s\n", rs.to_string().c_str());
+    return 1;
+  }
   std::printf("%-6s %-10s %-7s %-9s %-9s %-8s %s\n", "level", "decimation",
               "blobs", "avg-diam", "area", "overlap", "cumulative-io(ms)");
   for (;;) {
-    const auto raster = analytics::rasterize(reader.current_mesh(), reader.values(),
-                                             raster_px, raster_px, bounds, lo);
+    const auto raster =
+        analytics::rasterize(reader->current_mesh(), reader->values(),
+                             raster_px, raster_px, bounds, lo);
     const auto img = analytics::to_gray8(raster, lo, hi);
     const auto blobs = analytics::detect_blobs(img, raster_px, raster_px, params);
     const auto stats = analytics::summarize(blobs);
     const double overlap = analytics::overlap_ratio(blobs, reference);
     std::printf("L%-5u %-10.1f %-7zu %-9.1f %-9.0f %-8.2f %.2f\n",
-                reader.current_level(), reader.decimation_ratio(), stats.count,
-                stats.mean_diameter, stats.aggregate_area, overlap,
-                reader.cumulative().io_seconds * 1e3);
+                reader->current_level(), reader->decimation_ratio(),
+                stats.count, stats.mean_diameter, stats.aggregate_area,
+                overlap, reader->cumulative().io_seconds * 1e3);
     mesh::save_pgm(img, raster_px, raster_px,
-                   out_dir + "/blobs_L" + std::to_string(reader.current_level()) +
-                       ".pgm");
-    if (reader.at_full_accuracy()) break;
-    reader.refine();
+                   out_dir + "/blobs_L" +
+                       std::to_string(reader->current_level()) + ".pgm");
+    if (reader->at_full_accuracy()) break;
+    reader->refine();
   }
   std::printf("\npanels written to %s/blobs_L*.pgm (Fig. 7 style)\n",
               out_dir.c_str());

@@ -94,10 +94,11 @@ int main(int argc, char** argv) {
   }
 
   // --- Compare against a full-accuracy fetch. ------------------------------
-  core::ProgressiveReader full(tiers, "xgc.bp", "dpot", &geometry);
-  const auto base_bytes = full.cumulative().bytes_read;
-  full.refine_to(0);
-  const std::size_t full_bytes = full.cumulative().bytes_read - base_bytes;
+  std::unique_ptr<core::ProgressiveReader> full;
+  if (!pipeline.open(rreq, &full).ok()) return 1;
+  const auto base_bytes = full->cumulative().bytes_read;
+  full->refine_to(0);
+  const std::size_t full_bytes = full->cumulative().bytes_read - base_bytes;
   std::printf("\nfocused zoom moved %zu bytes vs %zu for full refinement "
               "(%.0f%% saved); the region of interest is at full accuracy.\n",
               roi_bytes, full_bytes,

@@ -1,8 +1,5 @@
 #include "core/campaign.hpp"
 
-#include <mutex>
-#include <optional>
-
 #include "adios/bp.hpp"
 #include "compress/codec.hpp"
 #include "core/delta.hpp"
@@ -14,17 +11,6 @@
 namespace canopus::core {
 
 namespace {
-
-std::optional<std::uint32_t> level_tier_hint(
-    const RefactorConfig& config, const storage::StorageHierarchy& hierarchy,
-    std::uint32_t level, std::size_t nbytes) {
-  if (!config.tiered_placement) return std::nullopt;
-  const std::size_t want =
-      std::min(hierarchy.tier_count() - 1,
-               static_cast<std::size_t>(config.levels - 1 - level));
-  if (hierarchy.tier(want).fits(nbytes)) return static_cast<std::uint32_t>(want);
-  return std::nullopt;
-}
 
 /// Everything one timestep produces, compressed off the writer thread.
 struct TimestepProducts {
@@ -60,13 +46,9 @@ CampaignReport write_variable_group(
 
   // ---- One-time geometry pipeline. ---------------------------------------
   util::WallTimer geometry_timer;
-  mesh::CascadeOptions copt;
-  copt.levels = N;
-  copt.step = rc.step;
-  copt.decimate = rc.decimate;
   std::vector<mesh::DecimateResult> recipes;
-  const auto cascade =
-      mesh::build_cascade(mesh, variables[0].second, copt, &recipes);
+  const auto cascade = mesh::build_cascade(mesh, variables[0].second,
+                                           cascade_options(rc), &recipes);
 
   std::vector<VertexMapping> mappings;  // mappings[l]: level l from level l+1
   for (std::size_t l = 0; l + 1 < N; ++l) {
@@ -87,7 +69,7 @@ CampaignReport write_variable_group(
     const auto level = static_cast<std::uint32_t>(l);
     const auto t = writer.write_opaque(
         geometry_var, adios::BlockKind::kMesh, level, bytes.view(),
-        level_tier_hint(rc, hierarchy, level, bytes.size()));
+        tier_hint_for(rc, hierarchy, level, bytes.size()));
     report.io_sim_seconds += t.io_sim_seconds;
     report.geometry_bytes += t.bytes_written;
   }
@@ -97,7 +79,7 @@ CampaignReport write_variable_group(
     const auto level = static_cast<std::uint32_t>(l);
     const auto t = writer.write_opaque(
         geometry_var, adios::BlockKind::kMapping, level, bytes.view(),
-        level_tier_hint(rc, hierarchy, level, bytes.size()));
+        tier_hint_for(rc, hierarchy, level, bytes.size()));
     report.io_sim_seconds += t.io_sim_seconds;
     report.geometry_bytes += t.bytes_written;
   }
@@ -140,7 +122,7 @@ CampaignReport write_variable_group(
       const auto wt = writer.write_precompressed(
           tvar, adios::BlockKind::kBase, base_level, out.base, rc.codec,
           rc.error_bound, cascade.levels[N - 1].values.size(),
-          level_tier_hint(rc, hierarchy, base_level, out.base.size()));
+          tier_hint_for(rc, hierarchy, base_level, out.base.size()));
       report.io_sim_seconds += wt.io_sim_seconds;
       report.stored_bytes += wt.bytes_written;
     }
@@ -149,7 +131,7 @@ CampaignReport write_variable_group(
       const auto wt = writer.write_precompressed(
           tvar, adios::BlockKind::kDelta, level, out.deltas[l], rc.codec,
           rc.error_bound, cascade.levels[l].values.size(),
-          level_tier_hint(rc, hierarchy, level, out.deltas[l].size()));
+          tier_hint_for(rc, hierarchy, level, out.deltas[l].size()));
       report.io_sim_seconds += wt.io_sim_seconds;
       report.stored_bytes += wt.bytes_written;
     }

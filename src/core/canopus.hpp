@@ -1,7 +1,7 @@
 #pragma once
 // Umbrella header: the public Canopus API.
 //
-// The preferred entry point is the canopus::Pipeline facade (pipeline.hpp):
+// The one entry point is the canopus::Pipeline facade (pipeline.hpp):
 //
 //   storage::StorageHierarchy tiers({storage::tmpfs_spec(...),
 //                                    storage::lustre_spec(...)});
@@ -17,16 +17,18 @@
 //   ReadResult data;
 //   Status rs = pipeline.read(rreq, &data);   // full accuracy by default
 //
-// For step-wise elastic refinement, pipeline.open() hands out the underlying
-// ProgressiveReader:
+// For step-wise elastic refinement, pipeline.open() hands out a
+// ProgressiveReader (the read engine) at base accuracy, and
+// pipeline.open_session() a ReadSession that shares the pipeline's pool and
+// block cache with other sessions:
 //
 //   std::unique_ptr<core::ProgressiveReader> reader;
 //   pipeline.open(rreq, &reader);
 //   analyze(reader->values(), reader->current_mesh());  // base accuracy
 //   reader->refine();                                   // one level better
 //
-// The pre-facade entry points (core::refactor_and_write, direct
-// ProgressiveReader construction) remain for source compatibility.
+// Options (options.hpp) configure a pipeline once; Pipeline::load builds one
+// from an XML RuntimeConfig (config.hpp).
 
 #include "core/byte_split.hpp"
 #include "core/campaign.hpp"

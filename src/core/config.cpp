@@ -235,12 +235,12 @@ RuntimeConfig load_config(const std::string& xml_text) {
                               [](unsigned char c) { return std::isspace(c); }),
                text.end());
     CANOPUS_CHECK(!text.empty(), "<threads> needs a worker count");
-    config.refactor.parallel.threads =
+    config.parallel.threads =
         static_cast<std::size_t>(parse_uint(text, "<threads> worker count"));
   }
 
   if (const auto* pipeline = root->child("pipeline")) {
-    auto& pc = config.refactor.parallel;
+    auto& pc = config.parallel;
     if (pipeline->has_attr("overlap")) {
       pc.pipeline = parse_bool(pipeline->attr("overlap"));
     }
@@ -526,7 +526,7 @@ storage::StorageHierarchy RuntimeConfig::make_hierarchy() const {
 
 canopus::Options RuntimeConfig::options() const {
   canopus::Options out;
-  out.parallel = refactor.parallel;
+  out.parallel = parallel;
   out.observability = observability;
   out.cache = cache;
   out.serve = serve;

@@ -51,7 +51,8 @@
 //
 // <threads> pins the task engine's worker count (0 = hardware concurrency)
 // and <pipeline> toggles the writer's compute/commit overlap and the
-// reader's delta read-ahead; both land in RefactorConfig::parallel.
+// reader's delta read-ahead; both land in RuntimeConfig::parallel and from
+// there in options().parallel.
 //
 // The optional <observability> element configures the metrics + tracing
 // layer (src/obs): `enabled` flips the process-wide master switch, `trace`
@@ -115,6 +116,8 @@ struct RuntimeConfig {
   std::vector<storage::TierSpec> tiers;  // fastest first, as listed
   storage::PlacementPolicy policy = storage::PlacementPolicy::kFastestFit;
   RefactorConfig refactor;
+  /// Task-engine knobs from <threads> and <pipeline>.
+  ParallelConfig parallel;
 
   /// Fault-injection plan: seed + per-tier profiles, matched by tier name.
   struct TierFaults {
@@ -130,18 +133,18 @@ struct RuntimeConfig {
   std::optional<obs::ObservabilityOptions> observability;
 
   /// Shared block cache from the optional <cache> element; nullopt runs
-  /// uncached. make_hierarchy() attaches it; Pipeline::from_config also
-  /// forwards it so a facade built from this config shares one cache.
+  /// uncached. make_hierarchy() attaches it; options() also forwards it so a
+  /// Pipeline::load()ed facade shares one cache.
   std::optional<canopus::cache::CacheConfig> cache;
 
   /// Async-engine shape from the optional <io> element; nullopt keeps the
   /// blocking read path (identical to IoConfig's depth-1 default). Forwarded
-  /// by Pipeline::from_config into every reader the pipeline opens.
+  /// through options() into every reader the pipeline opens.
   std::optional<canopus::io::IoConfig> io;
 
   /// Query-scheduler knobs from the optional <serve> element; nullopt means
   /// Pipeline::submit_query falls back to ServeConfig defaults on first use.
-  /// Forwarded by Pipeline::from_config.
+  /// Forwarded through options().
   std::optional<canopus::serve::ServeConfig> serve;
 
   /// Simulated-cluster shape from the optional <fabric> element; nullopt
@@ -151,7 +154,7 @@ struct RuntimeConfig {
   std::optional<canopus::fabric::FabricOptions> fabric;
 
   /// Workload-adaptive tiering knobs from the optional <tiering> element;
-  /// nullopt keeps placement static. Forwarded by Pipeline::from_config into
+  /// nullopt keeps placement static. Forwarded through options() into
   /// Options::tiering (the pipeline builds the TierAdvisor from it).
   std::optional<canopus::tiering::TieringConfig> tiering;
 

@@ -1,5 +1,6 @@
 #include "core/geometry_cache.hpp"
 
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -12,9 +13,10 @@ namespace canopus::core {
 
 namespace {
 
-/// Geometry fingerprint for the spatial-order memo: vertex count, bounds,
-/// and a CRC of the raw coordinate bytes. Computing it is O(n) with a small
-/// constant — far cheaper than the O(n log n) Morton sort it saves.
+/// Lookup key of the spatial-order memo: vertex count, bounds, and a CRC of
+/// the raw coordinate bytes. Computing it is O(n) with a small constant —
+/// far cheaper than the O(n log n) Morton sort it saves. The key is lossy
+/// (distinct meshes can share it), so it only narrows the search.
 using OrderKey = std::tuple<std::size_t, double, double, double, double,
                             std::uint32_t>;
 
@@ -27,18 +29,41 @@ OrderKey order_key(const mesh::TriMesh& mesh) {
   return {mesh.vertex_count(), box.lo.x, box.lo.y, box.hi.x, box.hi.y, crc};
 }
 
+/// One memoized order with the exact coordinates it was computed from; a
+/// lookup returns it only when the coordinate bytes are equal.
+using OrderPtr = std::shared_ptr<const std::vector<mesh::VertexId>>;
+
+struct OrderEntry {
+  std::vector<mesh::Vec2> coords;
+  OrderPtr order;
+};
+
+bool same_coords(const std::vector<mesh::Vec2>& a,
+                 const std::vector<mesh::Vec2>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(mesh::Vec2)) == 0;
+}
+
 }  // namespace
 
 std::shared_ptr<const std::vector<mesh::VertexId>> cached_spatial_order(
     const mesh::TriMesh& mesh) {
   static std::mutex mu;
-  static std::map<OrderKey, std::shared_ptr<const std::vector<mesh::VertexId>>>
-      memo;
+  static std::multimap<OrderKey, OrderEntry> memo;
 
   const auto key = order_key(mesh);
+  const auto find = [&]() -> OrderPtr {
+    const auto [lo, hi] = memo.equal_range(key);
+    for (auto it = lo; it != hi; ++it) {
+      if (same_coords(it->second.coords, mesh.vertices())) {
+        return it->second.order;
+      }
+    }
+    return nullptr;
+  };
   {
     std::lock_guard lock(mu);
-    if (const auto it = memo.find(key); it != memo.end()) return it->second;
+    if (auto hit = find()) return hit;
   }
   // Sort outside the lock: concurrent first requests for the same mesh may
   // both compute, but the result is a pure function of the geometry so
@@ -46,10 +71,12 @@ std::shared_ptr<const std::vector<mesh::VertexId>> cached_spatial_order(
   auto order = std::make_shared<const std::vector<mesh::VertexId>>(
       mesh::spatial_order(mesh));
   std::lock_guard lock(mu);
+  if (auto hit = find()) return hit;
   // A process analyzes a handful of distinct meshes; cap the memo so a
   // pathological stream of unique meshes cannot grow it unboundedly.
   if (memo.size() >= 128) memo.clear();
-  return memo.try_emplace(key, std::move(order)).first->second;
+  memo.emplace(key, OrderEntry{mesh.vertices(), order});
+  return order;
 }
 
 GeometryCache GeometryCache::load(storage::StorageHierarchy& hierarchy,

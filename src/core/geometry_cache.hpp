@@ -18,8 +18,10 @@
 
 namespace canopus::core {
 
-/// Process-wide memoized mesh::spatial_order, keyed by a geometry
-/// fingerprint (vertex count, bounds, CRC-32 of the coordinate bytes).
+/// Process-wide memoized mesh::spatial_order, keyed by the exact vertex
+/// coordinates (a fingerprint of count, bounds and CRC-32 narrows the
+/// lookup; a hit also compares the stored coordinate bytes, so two meshes
+/// with equal fingerprints never share an order).
 /// Campaign meshes are static across thousands of timesteps, and writer and
 /// reader both need the same Morton ordering for every chunked delta level —
 /// memoizing here means the O(n log n) sort runs once per distinct mesh per

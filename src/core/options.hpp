@@ -1,29 +1,25 @@
 #pragma once
-// canopus::Options — the consolidated runtime option surface.
+// canopus::Options — the one runtime option surface of a Pipeline.
 //
-// Before this header the knobs of one deployment were scattered: concurrency
-// in core::ParallelConfig, instrumentation in obs::ObservabilityOptions,
-// robustness in storage::RetryPolicy + FaultInjector, caching in
-// cache::CacheConfig, serving in serve::ServeConfig, async I/O in
-// io::IoConfig, and the cluster shape in fabric::FabricOptions — each spelled
-// slightly differently at each call site (PipelineOptions members,
-// ReaderOptions members, XML blocks). Options gathers every per-subsystem
-// block under one roof, with one fluent builder per subsystem, uniform
-// defaults, and a single validation pass that reports every inconsistency
-// with its subsystem context ("canopus::Options: serve.workers must
-// be >= 1") instead of a CANOPUS_CHECK deep inside the subsystem.
+// Options gathers every per-subsystem block of one deployment under one
+// roof: concurrency (core::ParallelConfig), instrumentation
+// (obs::ObservabilityOptions), robustness (storage::RetryPolicy +
+// FaultInjector), caching (cache::CacheConfig), serving
+// (serve::ServeConfig), async I/O (io::IoConfig), the cluster shape
+// (fabric::FabricOptions) and adaptive tiering (tiering::TieringConfig).
+// It is an aggregate, set with designated initializers, and a single
+// validation pass reports every inconsistency with its subsystem context
+// ("canopus::Options: serve.workers must be >= 1") instead of a
+// CANOPUS_CHECK deep inside the subsystem.
 //
-//   auto options = canopus::Options{}
-//                      .with_threads(8)
-//                      .with_cache({.budget_bytes = 256 << 20})
-//                      .with_serve({.workers = 4, .queue_limit = 64})
-//                      .with_fabric({.nodes = 4});
+//   canopus::Options options{
+//       .parallel = {.threads = 8},
+//       .cache = cache::CacheConfig{.budget_bytes = 256 << 20},
+//       .serve = serve::ServeConfig{.workers = 4, .queue_limit = 64},
+//       .fabric = fabric::FabricOptions{.nodes = 4}};
 //   canopus::Pipeline pipeline(tiers, options);
 //
-// The old spelling `canopus::PipelineOptions` remains as a deprecated alias
-// of this type (see core/pipeline.hpp), so existing designated-initializer
-// call sites keep compiling unchanged; see README.md's migration table.
-//
+// An XML RuntimeConfig fills the same struct (RuntimeConfig::options()).
 // The per-subsystem structs themselves stay where their subsystem defines
 // them (serve/serve_config.hpp, io/io_config.hpp, ...): Options is the
 // aggregation point, not a parallel redefinition, so a knob added to a
@@ -31,8 +27,6 @@
 
 #include <memory>
 #include <optional>
-#include <string>
-#include <utility>
 
 #include "cache/block_cache.hpp"
 #include "core/status.hpp"
@@ -48,98 +42,47 @@ namespace canopus {
 
 /// Pipeline-lifetime configuration: the one place concurrency,
 /// instrumentation, fault policy, caching, serving, async I/O, and the
-/// cluster topology are set.
+/// cluster topology are set. Every member has a default initializer, so a
+/// designated initializer may name any subset of them.
 struct Options {
   /// Worker count / pipeline overlap / read-ahead for both directions.
-  core::ParallelConfig parallel;
+  core::ParallelConfig parallel{};
   /// When set, obs::install()ed at construction (enables or disables
   /// process-wide metrics+tracing). Leave unset to keep the current global
   /// observability state (e.g. a bench already enabled --trace-out).
-  std::optional<obs::ObservabilityOptions> observability;
+  std::optional<obs::ObservabilityOptions> observability{};
   /// When set, applied to the hierarchy at construction.
-  std::optional<storage::RetryPolicy> retry;
+  std::optional<storage::RetryPolicy> retry{};
   /// When set, attached to the hierarchy at construction (seeded fault
   /// injection for robustness testing).
-  std::shared_ptr<storage::FaultInjector> faults;
+  std::shared_ptr<storage::FaultInjector> faults{};
   /// When set, a shared BlockCache with this budget/sharding is attached to
   /// the hierarchy at construction (unless one is already attached): tier
   /// blobs and decoded chunk arrays are then shared across every reader and
   /// ReadSession of this pipeline, with single-flight loading. Leave unset
   /// for the uncached (per-reader) behavior.
-  std::optional<cache::CacheConfig> cache;
+  std::optional<cache::CacheConfig> cache{};
   /// When set, Pipeline::submit_query()'s QueryScheduler is created with
   /// these knobs (worker count, bounded admission queue, default deadline,
   /// priority aging). Leave unset to get ServeConfig defaults on first use.
-  std::optional<serve::ServeConfig> serve;
+  std::optional<serve::ServeConfig> serve{};
   /// Async I/O engine shape forwarded into every reader/session this
   /// pipeline opens (core::ReaderOptions::io). The depth-1 default keeps the
   /// blocking read path.
-  io::IoConfig io;
+  io::IoConfig io{};
   /// Cluster shape (node count, partitioning, network envelope, eviction
   /// watermarks). The pipeline itself does not construct a fabric::Fabric —
   /// build one from these options and Pipeline::attach_fabric() it — but
-  /// carrying the block here gives XML configs and builders one home for it
+  /// carrying the block here gives XML configs and callers one home for it
   /// (RuntimeConfig::options() fills it from the <fabric> element).
-  std::optional<fabric::FabricOptions> fabric;
+  std::optional<fabric::FabricOptions> fabric{};
   /// Workload-adaptive tiering (heat tracking + TierAdvisor policy). When
   /// set, Pipeline::tier_advisor() is built with these knobs — and created
   /// eagerly by query_scheduler() when `tiering->enabled`, so queries feed
   /// heat and plan against predicted residency from the first submission.
   /// Leave unset for static placement (the advisor can still be created
   /// explicitly with defaults via Pipeline::tier_advisor()).
-  std::optional<tiering::TieringConfig> tiering;
-
-  // --- Fluent builders (each returns *this so calls chain). -----------------
-
-  Options& with_parallel(core::ParallelConfig value) {
-    parallel = value;
-    return *this;
-  }
-  /// Shorthand for the most-set knob: parallel.threads.
-  Options& with_threads(std::size_t threads) {
-    parallel.threads = threads;
-    return *this;
-  }
-  Options& with_observability(obs::ObservabilityOptions value) {
-    observability = std::move(value);
-    return *this;
-  }
-  /// Shorthand: enable observability with a Chrome-trace sink at `path`.
-  Options& with_trace(std::string path) {
-    obs::ObservabilityOptions o;
-    o.enabled = true;
-    o.trace_path = std::move(path);
-    observability = std::move(o);
-    return *this;
-  }
-  Options& with_retry(storage::RetryPolicy value) {
-    retry = value;
-    return *this;
-  }
-  Options& with_faults(std::shared_ptr<storage::FaultInjector> value) {
-    faults = std::move(value);
-    return *this;
-  }
-  Options& with_cache(cache::CacheConfig value) {
-    cache = value;
-    return *this;
-  }
-  Options& with_serve(serve::ServeConfig value) {
-    serve = value;
-    return *this;
-  }
-  Options& with_io(io::IoConfig value) {
-    io = value;
-    return *this;
-  }
-  Options& with_fabric(fabric::FabricOptions value) {
-    fabric = value;
-    return *this;
-  }
-  Options& with_tiering(tiering::TieringConfig value) {
-    tiering = value;
-    return *this;
-  }
+  std::optional<tiering::TieringConfig> tiering{};
 
   /// One validation pass over every set block. Throws canopus::Error whose
   /// message names the offending subsystem and knob ("canopus::Options:

@@ -45,12 +45,12 @@ Status status_from_read(core::RefineStatus refine,
 
 }  // namespace
 
-Pipeline::Pipeline(storage::StorageHierarchy& hierarchy, PipelineOptions options)
+Pipeline::Pipeline(storage::StorageHierarchy& hierarchy, Options options)
     : hierarchy_(&hierarchy), options_(std::move(options)) {
   apply_options();
 }
 
-Pipeline::Pipeline(storage::StorageHierarchy&& hierarchy, PipelineOptions options)
+Pipeline::Pipeline(storage::StorageHierarchy&& hierarchy, Options options)
     : owned_(std::move(hierarchy)),
       hierarchy_(&*owned_),
       options_(std::move(options)) {
@@ -77,17 +77,6 @@ void Pipeline::apply_options() {
   }
 }
 
-Pipeline Pipeline::from_config(const core::RuntimeConfig& config) {
-  // make_hierarchy() already attaches the configured fault injector and retry
-  // policy; config.options() leaves retry/faults unset to avoid re-applying
-  // them.
-  return Pipeline(config.make_hierarchy(), config.options());
-}
-
-Pipeline Pipeline::from_config_file(const std::string& path) {
-  return from_config(core::load_config_file(path));
-}
-
 Status Pipeline::load(const core::RuntimeConfig& config,
                       std::unique_ptr<Pipeline>* pipeline) {
   if (pipeline == nullptr) {
@@ -96,7 +85,9 @@ Status Pipeline::load(const core::RuntimeConfig& config,
   }
   try {
     // Pipeline has no move constructor (hierarchy_ points into owned_), so
-    // build in place rather than moving from_config's return.
+    // build in place. make_hierarchy() already attaches the configured fault
+    // injector and retry policy; config.options() leaves them unset so they
+    // are not applied twice.
     pipeline->reset(
         new Pipeline(config.make_hierarchy(), config.options()));
     return Status::success();
@@ -145,18 +136,24 @@ Status Pipeline::write(const WriteRequest& request, WriteResult* result) {
                                std::to_string(request.mesh->vertex_count()) +
                                ")");
   }
-  core::RefactorConfig config = request.config;
-  config.parallel = options_.parallel;
   try {
     CANOPUS_SPAN("pipeline.write", {{"path", request.path},
                                     {"var", request.var}});
-    core::RefactorReport report =
-        has_cascade ? core::refactor_and_write(*hierarchy_, request.path,
-                                               request.var, *request.cascade,
-                                               config)
-                    : core::refactor_and_write(*hierarchy_, request.path,
-                                               request.var, *request.mesh,
-                                               *request.values, config);
+    core::RefactorReport report;
+    mesh::Cascade built;
+    if (has_field) {
+      // Decimation: build the level hierarchy L^0 .. L^{N-1}. A prebuilt
+      // cascade amortizes this across a campaign, so no phase is recorded
+      // for it.
+      report.phases.time("decimation", [&] {
+        CANOPUS_SPAN("refactor.decimate", {{"levels", request.config.levels}});
+        built = mesh::build_cascade(*request.mesh, *request.values,
+                                    core::cascade_options(request.config));
+      });
+    }
+    core::refactor_and_write(*hierarchy_, request.path, request.var,
+                             has_cascade ? *request.cascade : built,
+                             request.config, options_.parallel, report);
     if (result) result->report = std::move(report);
     return Status::success();
   } catch (...) {
@@ -304,7 +301,5 @@ Status Pipeline::flush_trace(std::string* path_out) {
     return status_from_current_exception(StatusCode::kIoError);
   }
 }
-
-std::string Pipeline::flush_observability() { return obs::flush(); }
 
 }  // namespace canopus

@@ -1,14 +1,12 @@
 #pragma once
-// The redesigned public facade: canopus::Pipeline.
+// The public facade and the one entry point of the library: canopus::Pipeline.
 //
-// Before this facade the public surface had grown organically — two
-// refactor_and_write overloads, a many-argument ProgressiveReader
-// constructor, exceptions on some paths and RefineStatus + counters on
-// others. Pipeline consolidates it: option-struct requests, one
+// Every write goes through Pipeline::write and every read through
+// Pipeline::read, open or open_session: option-struct requests, one
 // Status-returning entry point per direction, and one place
 // (canopus::Options, core/options.hpp) where concurrency, fault policy,
 // caching, serving, and the cluster shape are configured instead of growing
-// every signature.
+// every signature. Pipeline::load builds one from an XML RuntimeConfig.
 //
 //   storage::StorageHierarchy tiers({...});
 //   Pipeline pipeline(tiers);
@@ -25,6 +23,10 @@
 //   ReadResult data;
 //   Status rs = pipeline.read(rreq, &data);  // rs.degraded => partial accuracy
 //
+// Underneath, Pipeline::write drives the one write engine (core/refactorer.hpp,
+// over a decimation cascade) and the read entry points drive
+// core::ProgressiveReader, the read engine.
+//
 // Error-reporting invariant (core/status.hpp, DESIGN.md §14): every public
 // entry point on Pipeline and ReadSession returns a Status; exceptions from
 // the layers underneath are mapped at this boundary and never escape.
@@ -36,11 +38,6 @@
 // members are defined in the fabric module (src/fabric/pipeline_fabric.cpp),
 // mirroring how submit_query() lives in serve — core itself references
 // neither module's symbols.
-//
-// The pre-facade entry points (core::refactor_and_write overloads and the
-// core::ProgressiveReader constructor) remain as thin deprecated wrappers
-// around the same engine for source compatibility; new code should come in
-// through Pipeline.
 
 #include <functional>
 #include <memory>
@@ -86,12 +83,6 @@ class TierAdvisor;
 struct TieringReport;
 }  // namespace tiering
 
-/// Deprecated spelling of canopus::Options, kept so pre-PR-8 call sites
-/// (designated initializers over the same member names) compile unchanged.
-/// New code should spell it canopus::Options; see README.md's migration
-/// table.
-using PipelineOptions = Options;
-
 /// Everything one refactor-and-write needs. Provide either (mesh, values) —
 /// the full decimate/delta/compress/place pipeline — or a prebuilt cascade
 /// to amortize decimation across a campaign.
@@ -101,8 +92,8 @@ struct WriteRequest {
   const mesh::TriMesh* mesh = nullptr;
   const mesh::Field* values = nullptr;
   const mesh::Cascade* cascade = nullptr;
-  /// Refactoring knobs. `config.parallel` is ignored: concurrency comes from
-  /// canopus::Options so it is configured once per pipeline, not per call.
+  /// Refactoring knobs. Concurrency is not among them: it comes from
+  /// Options::parallel, configured once per pipeline, not per call.
   core::RefactorConfig config;
 };
 
@@ -170,9 +161,6 @@ class ReadSession {
   std::size_t level_count() const { return reader_->level_count(); }
   const core::RetrievalTimings& timings() const { return reader_->cumulative(); }
 
-  /// Escape hatch to the underlying reader (refine_region, last_status, ...).
-  core::ProgressiveReader& reader() { return *reader_; }
-
  private:
   friend class Pipeline;
   explicit ReadSession(std::unique_ptr<core::ProgressiveReader> reader)
@@ -202,11 +190,6 @@ class Pipeline {
   static Status load(const core::RuntimeConfig& config,
                      std::unique_ptr<Pipeline>* pipeline);
 
-  /// Deprecated throwing factories, kept for source compatibility: prefer
-  /// load(), which returns a Status instead of throwing on a bad config.
-  static Pipeline from_config(const core::RuntimeConfig& config);
-  static Pipeline from_config_file(const std::string& path);
-
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 
@@ -214,8 +197,12 @@ class Pipeline {
   const storage::StorageHierarchy& hierarchy() const { return *hierarchy_; }
   const Options& options() const { return options_; }
 
-  /// Refactors and writes one variable. Never throws: failures come back as
-  /// a Status (kInvalidArgument, kCapacity, kIoError, ...).
+  /// Refactors and writes one variable: decimates (mesh, values) into a
+  /// cascade, timed as the report's "decimation" phase, or takes the
+  /// request's prebuilt cascade (built with core::cascade_options(config)),
+  /// then runs the write engine with Options::parallel. Never throws:
+  /// failures come back as a Status (kInvalidArgument, kCapacity, kIoError,
+  /// ...).
   Status write(const WriteRequest& request, WriteResult* result = nullptr);
 
   /// Retrieves one variable at the requested accuracy. Never throws. A
@@ -319,10 +306,6 @@ class Pipeline {
   /// `*path_out` (optional) receives the path written ("" when no sink is
   /// configured — that is kOk: nothing to flush is not a failure).
   Status flush_trace(std::string* path_out = nullptr);
-
-  /// Deprecated spelling of flush_trace(): returns the path written instead
-  /// of a Status, hiding sink errors.
-  std::string flush_observability();
 
  private:
   Status run_read(const ReadRequest& request, ReadResult* result);

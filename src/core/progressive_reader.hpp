@@ -1,7 +1,8 @@
 #pragma once
 // The read side of Canopus: progressive, elastic data retrieval.
 //
-// A ProgressiveReader opens a refactored variable, retrieves the base dataset
+// A ProgressiveReader (the read engine; applications obtain one through
+// canopus::Pipeline) opens a refactored variable, retrieves the base dataset
 // from the fast tier, and then refines level by level on demand — retrieve
 // delta, decompress, restore (Algorithm 3) — letting analytics trade accuracy
 // for speed on the fly (Fig. 1, right side). Every step reports the paper's
@@ -71,10 +72,9 @@ class ProgressiveReader {
  public:
   /// Opens the container and retrieves the base dataset L^{N-1}.
   ///
-  /// Deprecated as a public entry point: prefer canopus::Pipeline::read()
-  /// for one-shot retrieval or Pipeline::open() for step-wise refinement
-  /// (core/pipeline.hpp); both wrap this constructor behind a
-  /// Status-returning API. Kept callable for source compatibility.
+  /// The read engine behind canopus::Pipeline::read(), open() and
+  /// open_session() (core/pipeline.hpp) and the serve layer's queries;
+  /// applications obtain readers through those entry points.
   ///
   /// `geometry`, when given, supplies the per-level meshes, restoration
   /// mappings, and spatial orders from a campaign-lifetime GeometryCache so

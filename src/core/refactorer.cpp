@@ -17,22 +17,6 @@ namespace canopus::core {
 
 namespace {
 
-/// Paper Fig. 1 layout: base on the fastest tier, deltas progressively lower
-/// (finest delta on the slowest). Level l's product goes `N-1-l` tiers down,
-/// clamped to the stack depth; the hierarchy still bypasses full tiers.
-std::optional<std::uint32_t> tier_hint_for(const RefactorConfig& config,
-                                           const storage::StorageHierarchy& hierarchy,
-                                           std::uint32_t level, std::size_t nbytes) {
-  if (!config.tiered_placement) return std::nullopt;
-  const std::size_t want =
-      std::min(hierarchy.tier_count() - 1,
-               static_cast<std::size_t>(config.levels - 1 - level));
-  // Respect the hint only when that tier has room; otherwise fall back to the
-  // generic bypass placement.
-  if (hierarchy.tier(want).fits(nbytes)) return static_cast<std::uint32_t>(want);
-  return std::nullopt;
-}
-
 /// One delta chunk, encoded on a pool worker and ready to place.
 struct PreparedChunk {
   util::Bytes payload;
@@ -206,6 +190,27 @@ void commit_level(adios::BpWriter& writer, storage::StorageHierarchy& hierarchy,
 
 }  // namespace
 
+std::optional<std::uint32_t> tier_hint_for(
+    const RefactorConfig& config, const storage::StorageHierarchy& hierarchy,
+    std::uint32_t level, std::size_t nbytes) {
+  if (!config.tiered_placement) return std::nullopt;
+  const std::size_t want =
+      std::min(hierarchy.tier_count() - 1,
+               static_cast<std::size_t>(config.levels - 1 - level));
+  // Respect the hint only when that tier has room; otherwise fall back to the
+  // generic bypass placement.
+  if (hierarchy.tier(want).fits(nbytes)) return static_cast<std::uint32_t>(want);
+  return std::nullopt;
+}
+
+mesh::CascadeOptions cascade_options(const RefactorConfig& config) {
+  mesh::CascadeOptions options;
+  options.levels = config.levels;
+  options.step = config.step;
+  options.decimate = config.decimate;
+  return options;
+}
+
 std::size_t RefactorReport::total_raw_bytes() const {
   std::size_t n = 0;
   for (const auto& p : products) n += p.raw_bytes;
@@ -218,56 +223,29 @@ std::size_t RefactorReport::total_stored_bytes() const {
   return n;
 }
 
-RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
-                                  const std::string& path, const std::string& var,
-                                  const mesh::TriMesh& mesh,
-                                  const mesh::Field& values,
-                                  const RefactorConfig& config) {
-  CANOPUS_CHECK(config.levels >= 1, "refactor needs at least one level");
-  // --- Decimation: build the level hierarchy L^0 .. L^{N-1}. -------------
-  RefactorReport report;
-  mesh::Cascade cascade;
-  report.phases.time("decimation", [&] {
-    CANOPUS_SPAN("refactor.decimate", {{"levels", config.levels}});
-    mesh::CascadeOptions copt;
-    copt.levels = config.levels;
-    copt.step = config.step;
-    copt.decimate = config.decimate;
-    cascade = mesh::build_cascade(mesh, values, copt);
-  });
-
-  auto pipeline_report = refactor_and_write(hierarchy, path, var, cascade, config);
-  // Splice the decimation phase in front of the pipeline phases.
-  for (const auto& phase : pipeline_report.phases.phases()) {
-    report.phases.add(phase, pipeline_report.phases.get(phase));
-  }
-  report.products = std::move(pipeline_report.products);
-  report.level_vertices = std::move(pipeline_report.level_vertices);
-  return report;
-}
-
-RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
-                                  const std::string& path, const std::string& var,
-                                  const mesh::Cascade& cascade,
-                                  const RefactorConfig& config) {
+void refactor_and_write(storage::StorageHierarchy& hierarchy,
+                        const std::string& path, const std::string& var,
+                        const mesh::Cascade& cascade,
+                        const RefactorConfig& config,
+                        const ParallelConfig& parallel,
+                        RefactorReport& report) {
   CANOPUS_CHECK(config.levels >= 1, "refactor needs at least one level");
   CANOPUS_CHECK(cascade.level_count() == config.levels,
                 "cascade does not match config.levels");
   CANOPUS_SPAN("refactor.write", {{"var", var}, {"levels", config.levels}});
   obs::MetricsRegistry::global().counter("refactor.variables").add(1);
-  RefactorReport report;
   for (const auto& level : cascade.levels) {
     report.level_vertices.push_back(level.mesh.vertex_count());
   }
 
-  // Task engine: a dedicated pool when the config pins a worker count, the
+  // Task engine: a dedicated pool when `parallel` pins a worker count, the
   // process-global pool otherwise. With a single worker the compute/commit
   // overlap is disabled so "1 thread" really means serial execution.
   std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool& pool = config.parallel.threads == 0
+  util::ThreadPool& pool = parallel.threads == 0
                                ? util::ThreadPool::global()
-                               : local_pool.emplace(config.parallel.threads);
-  const bool overlap = config.parallel.pipeline && pool.size() > 1;
+                               : local_pool.emplace(parallel.threads);
+  const bool overlap = parallel.pipeline && pool.size() > 1;
 
   // --- Delta calculation + compression + placement. ----------------------
   adios::BpWriter writer(hierarchy, path);
@@ -340,7 +318,6 @@ RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
   }
 
   writer.close();
-  return report;
 }
 
 RefactorReport direct_multilevel_sizes(const mesh::TriMesh& mesh,
@@ -349,11 +326,7 @@ RefactorReport direct_multilevel_sizes(const mesh::TriMesh& mesh,
   RefactorReport report;
   mesh::Cascade cascade;
   report.phases.time("decimation", [&] {
-    mesh::CascadeOptions copt;
-    copt.levels = config.levels;
-    copt.step = config.step;
-    copt.decimate = config.decimate;
-    cascade = mesh::build_cascade(mesh, values, copt);
+    cascade = mesh::build_cascade(mesh, values, cascade_options(config));
   });
   const auto codec = compress::make_codec(config.codec);
   for (std::size_t l = 0; l < cascade.level_count(); ++l) {

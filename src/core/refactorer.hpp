@@ -1,12 +1,17 @@
 #pragma once
-// The write side of Canopus: decimate -> delta -> compress -> place.
+// The write engine of Canopus: delta -> compress -> place.
 //
-// refactor_and_write() runs the full Section III pipeline for one variable on
-// one unstructured triangular mesh and persists every product (base, deltas,
-// per-level meshes, restoration mappings) into a BP container across the
-// storage hierarchy. The returned report carries the paper's Fig. 6b phase
-// breakdown plus per-product sizes for the Fig. 5 comparison.
+// refactor_and_write() runs the Section III pipeline for one variable over a
+// decimation cascade of an unstructured triangular mesh and persists every
+// product (base, deltas, per-level meshes, restoration mappings) into a BP
+// container across the storage hierarchy. The returned report carries the
+// paper's Fig. 6b phase breakdown plus per-product sizes for the Fig. 5
+// comparison. Applications come in through canopus::Pipeline::write()
+// (core/pipeline.hpp), which builds the cascade, times the "decimation"
+// phase, supplies the pipeline's ParallelConfig and maps failures to a
+// Status; it is the engine's only caller.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,36 +49,37 @@ struct RefactorReport {
   std::size_t total_stored_bytes() const;
 };
 
-/// Refactors (mesh, values) into `config.levels` accuracy levels and writes
-/// them as variable `var` into the container at `path`. The input (level 0)
-/// itself is not stored — only the base and the deltas, per Section III-C2.
+/// Paper Fig. 1 layout: base on the fastest tier, deltas progressively lower
+/// (finest delta on the slowest). Level l's product of `nbytes` bytes goes
+/// `N-1-l` tiers down, clamped to the stack depth; nullopt (the hierarchy's
+/// generic bypass placement) when tiered placement is off or that tier has
+/// no room.
+std::optional<std::uint32_t> tier_hint_for(
+    const RefactorConfig& config, const storage::StorageHierarchy& hierarchy,
+    std::uint32_t level, std::size_t nbytes);
+
+/// The cascade a refactor of `config` decimates into.
+mesh::CascadeOptions cascade_options(const RefactorConfig& config);
+
+/// Writes the prebuilt level hierarchy `cascade` (built with
+/// cascade_options(config)) as variable `var` into the container at `path`,
+/// appending its "delta+compress" and "io" phases to `report`. The input
+/// (level 0) itself is not stored — only the base and the deltas, per
+/// Section III-C2.
 ///
-/// Deprecated as a public entry point: prefer canopus::Pipeline::write()
-/// (core/pipeline.hpp), which wraps this engine behind a Status-returning
-/// request/response API. Kept callable for source compatibility.
-///
-/// The pipeline is concurrent per config.parallel: delta chunks encode in
+/// The pipeline is concurrent per `parallel`: delta chunks encode in
 /// parallel, the Morton permutation and per-chunk bounding boxes fan out on
 /// the pool, and level l's mapping+delta computation overlaps level l+1's
 /// compression commit. A single committer serializes every write into the
 /// container in the same order as the serial pipeline, so placement, the
 /// Fig. 6b phase accounting, and all stored bytes are bitwise-identical for
 /// any thread count.
-RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
-                                  const std::string& path, const std::string& var,
-                                  const mesh::TriMesh& mesh,
-                                  const mesh::Field& values,
-                                  const RefactorConfig& config);
-
-/// Variant taking a prebuilt level hierarchy. Decimation is a mesh-lifetime
-/// cost in a campaign (thousands of timesteps share one cascade); this entry
-/// point lets callers amortize it and charge only the per-variable
-/// delta+compress+place pipeline. `cascade` must have been built with the
-/// same levels/step the config describes. No "decimation" phase is recorded.
-RefactorReport refactor_and_write(storage::StorageHierarchy& hierarchy,
-                                  const std::string& path, const std::string& var,
-                                  const mesh::Cascade& cascade,
-                                  const RefactorConfig& config);
+void refactor_and_write(storage::StorageHierarchy& hierarchy,
+                        const std::string& path, const std::string& var,
+                        const mesh::Cascade& cascade,
+                        const RefactorConfig& config,
+                        const ParallelConfig& parallel,
+                        RefactorReport& report);
 
 /// Baseline for Fig. 5: compress every level directly (no deltas) and report
 /// the same size accounting. Nothing is written to storage.

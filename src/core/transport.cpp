@@ -1,5 +1,7 @@
 #include "core/transport.hpp"
 
+#include <utility>
+
 #include "util/assert.hpp"
 
 namespace canopus::core {
@@ -18,7 +20,27 @@ TransportMode transport_mode_from_string(const std::string& s) {
   throw Error("unknown transport mode: " + s);
 }
 
-TransportReport write_with_transport(storage::StorageHierarchy& hierarchy,
+namespace {
+
+RefactorReport refactor(Pipeline& pipeline, const std::string& path,
+                        const std::string& var, const mesh::TriMesh& mesh,
+                        const mesh::Field& values,
+                        const RefactorConfig& config) {
+  WriteRequest request;
+  request.path = path;
+  request.var = var;
+  request.mesh = &mesh;
+  request.values = &values;
+  request.config = config;
+  WriteResult result;
+  const Status status = pipeline.write(request, &result);
+  if (!status.ok()) throw Error("write_with_transport: " + status.to_string());
+  return std::move(result.report);
+}
+
+}  // namespace
+
+TransportReport write_with_transport(Pipeline& pipeline,
                                      const std::string& path, const std::string& var,
                                      const mesh::TriMesh& mesh,
                                      const mesh::Field& values,
@@ -27,8 +49,7 @@ TransportReport write_with_transport(storage::StorageHierarchy& hierarchy,
                                      std::size_t staging_tier) {
   TransportReport report;
   if (mode == TransportMode::kInSitu) {
-    report.refactor =
-        refactor_and_write(hierarchy, path, var, mesh, values, config);
+    report.refactor = refactor(pipeline, path, var, mesh, values, config);
     report.simulation_blocked_seconds =
         report.refactor.phases.get("decimation") +
         report.refactor.phases.get("delta+compress") +
@@ -38,6 +59,7 @@ TransportReport write_with_transport(storage::StorageHierarchy& hierarchy,
 
   // In transit: burst the raw bytes to the staging tier — that is all the
   // simulation waits for.
+  storage::StorageHierarchy& hierarchy = pipeline.hierarchy();
   const std::string staged_key = path + "/" + var + "/.staged";
   const auto staged_io = hierarchy.write_to(
       staging_tier, staged_key, util::as_bytes_view(values));
@@ -48,8 +70,7 @@ TransportReport write_with_transport(storage::StorageHierarchy& hierarchy,
   util::Bytes raw;
   const auto read_back = hierarchy.read(staged_key, raw);
   const auto staged_values = util::from_bytes<double>(raw);
-  report.refactor =
-      refactor_and_write(hierarchy, path, var, mesh, staged_values, config);
+  report.refactor = refactor(pipeline, path, var, mesh, staged_values, config);
   hierarchy.erase(staged_key);
   report.drain_seconds = read_back.sim_seconds +
                          report.refactor.phases.get("decimation") +

@@ -9,16 +9,16 @@
 // simulation clock:
 //
 //   kInSitu:    simulation blocks for decimation + delta + compression + the
-//               product writes (refactor_and_write's full cost).
+//               product writes (Pipeline::write's full cost).
 //   kInTransit: simulation blocks only for a raw write to the staging tier;
 //               the drain phase (read staged raw -> refactor -> place ->
 //               evict staged copy) is accounted separately.
 
 #include <string>
 
+#include "core/pipeline.hpp"
 #include "core/refactorer.hpp"
 #include "mesh/tri_mesh.hpp"
-#include "storage/hierarchy.hpp"
 
 namespace canopus::core {
 
@@ -39,10 +39,12 @@ struct TransportReport {
   RefactorReport refactor;
 };
 
-/// Writes one variable under the chosen transport mode. For kInTransit,
-/// `staging_tier` names the tier that absorbs the raw burst (e.g. a
-/// burst-buffer or DRAM tier); it must fit the raw data or Error is thrown.
-TransportReport write_with_transport(storage::StorageHierarchy& hierarchy,
+/// Writes one variable through `pipeline` (Pipeline::write on its hierarchy,
+/// with its concurrency options) under the chosen transport mode. For
+/// kInTransit, `staging_tier` names the tier that absorbs the raw burst (e.g.
+/// a burst-buffer or DRAM tier); it must fit the raw data or Error is thrown.
+/// A failed refactor throws Error carrying the write's Status.
+TransportReport write_with_transport(Pipeline& pipeline,
                                      const std::string& path, const std::string& var,
                                      const mesh::TriMesh& mesh,
                                      const mesh::Field& values,

@@ -26,8 +26,8 @@ std::string to_string(EstimateMode mode);
 EstimateMode estimate_mode_from_string(const std::string& s);
 
 /// Knobs for the task-based refactor/restore engine, shared by the writer
-/// (refactor_and_write) and the reader (ProgressiveReader) and configurable
-/// from XML (<threads>N</threads>, <pipeline overlap=".." read-ahead=".."/>).
+/// and the reader. Set once per pipeline as canopus::Options::parallel
+/// (XML: <threads>N</threads>, <pipeline overlap=".." read-ahead=".."/>).
 /// Worker count only changes wall-clock: products and restored fields are
 /// bitwise-identical for any `threads` value (commits and reductions are
 /// ordered deterministically).
@@ -66,8 +66,6 @@ struct RefactorConfig {
   /// ("reading smaller subsets of high accuracy data", Section III-E).
   /// Chunks are also the unit of parallel encoding/decoding.
   std::uint32_t delta_chunks = 1;
-  /// Task-engine knobs for the write pipeline.
-  ParallelConfig parallel;
 
   /// Convenience: sets error_bound so that the *accumulated* restoration
   /// error at full accuracy stays within `total` (codec bounds add once per

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 
+#include "adios/bp.hpp"
 #include "core/config.hpp"
+#include "core/pipeline.hpp"
+#include "mesh/generators.hpp"
 #include "util/xml.hpp"
 
 namespace cu = canopus::util;
@@ -130,16 +136,90 @@ TEST(Config, ParsesParallelKnobs) {
     <threads> 4 </threads>
     <pipeline overlap="false" read-ahead="false"/>
   </canopus-config>)");
-  EXPECT_EQ(config.refactor.parallel.threads, 4u);
-  EXPECT_FALSE(config.refactor.parallel.pipeline);
-  EXPECT_FALSE(config.refactor.parallel.read_ahead);
+  const auto parallel = config.options().parallel;
+  EXPECT_EQ(parallel.threads, 4u);
+  EXPECT_FALSE(parallel.pipeline);
+  EXPECT_FALSE(parallel.read_ahead);
 }
 
 TEST(Config, ParallelKnobsDefaultToConcurrent) {
   const auto config = cc::load_config(kSample);
-  EXPECT_EQ(config.refactor.parallel.threads, 0u);  // 0 = global pool
-  EXPECT_TRUE(config.refactor.parallel.pipeline);
-  EXPECT_TRUE(config.refactor.parallel.read_ahead);
+  const auto parallel = config.options().parallel;
+  EXPECT_EQ(parallel.threads, 0u);  // 0 = global pool
+  EXPECT_TRUE(parallel.pipeline);
+  EXPECT_TRUE(parallel.read_ahead);
+}
+
+namespace {
+
+/// Every stored object of `var` in the container at `path`, read back raw.
+std::map<std::string, cu::Bytes> stored_objects(cs::StorageHierarchy& tiers,
+                                                const std::string& path,
+                                                const std::string& var) {
+  canopus::adios::BpReader reader(tiers, path);
+  std::map<std::string, cu::Bytes> objects;
+  for (const auto& record : reader.inq_var(var).blocks) {
+    cu::Bytes bytes;
+    tiers.read(record.object_key, bytes);
+    objects[record.object_key] = std::move(bytes);
+  }
+  return objects;
+}
+
+}  // namespace
+
+// <threads> and <pipeline> configure the pipeline Pipeline::load builds:
+// its writes are byte-identical to a pipeline given the same
+// Options::parallel directly.
+TEST(Config, XmlParallelKnobsWriteLikeOptionsParallel) {
+  const std::string storage = R"(<storage>
+      <tier preset="tmpfs" capacity="1MiB"/>
+      <tier preset="lustre" capacity="64MiB"/>
+    </storage>)";
+  namespace fs = std::filesystem;
+  const auto path =
+      (fs::temp_directory_path() / "canopus_config_parallel.xml").string();
+  {
+    std::ofstream f(path);
+    f << "<canopus-config>" << storage
+      << "<threads>2</threads><pipeline overlap=\"false\"/></canopus-config>";
+  }
+  std::unique_ptr<canopus::Pipeline> loaded;
+  const canopus::Status st = canopus::Pipeline::load(path, &loaded);
+  std::remove(path.c_str());
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(loaded->options().parallel.threads, 2u);
+  EXPECT_FALSE(loaded->options().parallel.pipeline);
+
+  canopus::Options options;
+  options.parallel.threads = 2;
+  options.parallel.pipeline = false;
+  canopus::Pipeline direct(
+      cc::load_config("<canopus-config>" + storage + "</canopus-config>")
+          .make_hierarchy(),
+      options);
+
+  const auto mesh = canopus::mesh::make_annulus_mesh(12, 80, 0.5, 1.0, 0.1, 7);
+  canopus::mesh::Field values(mesh.vertex_count());
+  for (std::size_t v = 0; v < values.size(); ++v) {
+    const auto p = mesh.vertex(v);
+    values[v] = std::sin(4.0 * p.x) * std::cos(3.0 * p.y);
+  }
+  canopus::WriteRequest request;
+  request.path = "x.bp";
+  request.var = "v";
+  request.mesh = &mesh;
+  request.values = &values;
+  request.config.levels = 3;
+  request.config.error_bound = 1e-6;
+  request.config.delta_chunks = 4;
+  ASSERT_TRUE(loaded->write(request).ok());
+  ASSERT_TRUE(direct.write(request).ok());
+
+  const auto a = stored_objects(loaded->hierarchy(), "x.bp", "v");
+  const auto b = stored_objects(direct.hierarchy(), "x.bp", "v");
+  ASSERT_GT(a.size(), 0u);
+  EXPECT_EQ(a, b);
 }
 
 TEST(Config, ParsesCacheBlock) {

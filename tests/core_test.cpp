@@ -18,12 +18,14 @@
 #include "storage/hierarchy.hpp"
 #include "util/simd.hpp"
 #include "util/stats.hpp"
+#include "test_support.hpp"
 
 namespace cc = canopus::core;
 namespace cm = canopus::mesh;
 namespace cs = canopus::storage;
 namespace ca = canopus::adios;
 namespace cu = canopus::util;
+namespace ct = canopus::test;
 
 namespace {
 
@@ -150,8 +152,8 @@ TEST(Refactorer, WritesAllProductsAndLevels) {
   config.levels = 3;
   config.codec = "zfp";
   config.error_bound = 1e-6;
-  const auto report = cc::refactor_and_write(tiers, "xgc.bp", "dpot", mesh,
-                                             smooth_field(mesh), config);
+  const auto report = ct::write_field(tiers, "xgc.bp", "dpot", mesh,
+                                      smooth_field(mesh), config);
   // base + 2 deltas.
   ASSERT_EQ(report.products.size(), 3u);
   EXPECT_EQ(report.products[0].name, "base");
@@ -178,8 +180,8 @@ TEST(Refactorer, TieredPlacementFollowsFig1) {
   const auto mesh = cm::make_rect_mesh(40, 40, 1.0, 1.0, 0.1, 13);
   cc::RefactorConfig config;
   config.levels = 3;
-  const auto report = cc::refactor_and_write(tiers, "r.bp", "v", mesh,
-                                             smooth_field(mesh), config);
+  const auto report = ct::write_field(tiers, "r.bp", "v", mesh,
+                                      smooth_field(mesh), config);
   for (const auto& p : report.products) {
     if (p.name == "base") {
       EXPECT_EQ(p.tier, 0u);
@@ -203,8 +205,8 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
   config.levels = 2;
   config.delta_chunks = 4;
   config.tiered_placement = false;  // let the round-robin policy place
-  const auto report = cc::refactor_and_write(tiers, "rr.bp", "v", mesh,
-                                             smooth_field(mesh), config);
+  const auto report = ct::write_field(tiers, "rr.bp", "v", mesh,
+                                      smooth_field(mesh), config);
 
   ca::BpReader reader(tiers, "rr.bp");
   const auto info = reader.inq_var("v");
@@ -231,8 +233,8 @@ TEST(Refactorer, ChunkTiersReportEveryChunkAndSlowestTier) {
 }
 
 TEST(Refactorer, PrebuiltCascadeMatchesFromScratchRefactor) {
-  // The campaign-style overload must write the exact same container as the
-  // mesh+values entry point, minus the decimation phase.
+  // A prebuilt-cascade write must store the exact same container as a
+  // (mesh, values) write, minus the decimation phase.
   const auto mesh = cm::make_annulus_mesh(12, 72, 0.5, 1.0, 0.1, 9);
   const auto values = smooth_field(mesh);
   cc::RefactorConfig config;
@@ -240,16 +242,13 @@ TEST(Refactorer, PrebuiltCascadeMatchesFromScratchRefactor) {
 
   auto tiers_a = big_two_tiers();
   const auto from_scratch =
-      cc::refactor_and_write(tiers_a, "a.bp", "v", mesh, values, config);
+      ct::write_field(tiers_a, "a.bp", "v", mesh, values, config);
 
-  cm::CascadeOptions copt;
-  copt.levels = config.levels;
-  copt.step = config.step;
-  copt.decimate = config.decimate;
-  const auto cascade = cm::build_cascade(mesh, values, copt);
+  const auto cascade =
+      cm::build_cascade(mesh, values, cc::cascade_options(config));
   auto tiers_b = big_two_tiers();
   const auto prebuilt =
-      cc::refactor_and_write(tiers_b, "a.bp", "v", cascade, config);
+      ct::write_cascade(tiers_b, "a.bp", "v", cascade, config);
 
   EXPECT_GT(from_scratch.phases.get("decimation"), 0.0);
   EXPECT_EQ(prebuilt.phases.get("decimation"), 0.0);
@@ -281,11 +280,8 @@ TEST(Refactorer, XgcContainerBytesPinned) {
 
   // The pin must cover the nearest-triangle fallback: decimation shrinks the
   // annulus rim, so some fine vertices fall outside the next coarse level.
-  cm::CascadeOptions copt;
-  copt.levels = config.levels;
-  copt.step = config.step;
-  copt.decimate = config.decimate;
-  const auto cascade = cm::build_cascade(ds.mesh, ds.values, copt);
+  const auto cascade =
+      cm::build_cascade(ds.mesh, ds.values, cc::cascade_options(config));
   std::size_t misses = 0;
   for (std::size_t l = 0; l + 1 < cascade.level_count(); ++l) {
     const cm::PointLocator locator(cascade.levels[l + 1].mesh);
@@ -331,8 +327,8 @@ TEST(Refactorer, BypassesFullFastTier) {
   const auto mesh = cm::make_rect_mesh(30, 30, 1.0, 1.0);
   cc::RefactorConfig config;
   config.levels = 2;
-  const auto report = cc::refactor_and_write(tiers, "r.bp", "v", mesh,
-                                             smooth_field(mesh), config);
+  const auto report = ct::write_field(tiers, "r.bp", "v", mesh,
+                                      smooth_field(mesh), config);
   for (const auto& p : report.products) EXPECT_EQ(p.tier, 1u);
 }
 
@@ -346,8 +342,8 @@ TEST(Refactorer, CanopusBeatsDirectMultilevelStorage) {
   config.levels = 3;
   config.codec = "zfp";
   config.error_bound = 1e-5;
-  const auto canopus = cc::refactor_and_write(tiers, "c.bp", "v", mesh, values,
-                                              config);
+  const auto canopus = ct::write_field(tiers, "c.bp", "v", mesh, values,
+                                       config);
   const auto direct = cc::direct_multilevel_sizes(mesh, values, config);
   EXPECT_LT(canopus.total_stored_bytes(), direct.total_stored_bytes());
 }
@@ -357,8 +353,8 @@ TEST(Refactorer, SingleLevelDegeneratesToBaseOnly) {
   const auto mesh = cm::make_rect_mesh(10, 10, 1.0, 1.0);
   cc::RefactorConfig config;
   config.levels = 1;
-  const auto report = cc::refactor_and_write(tiers, "one.bp", "v", mesh,
-                                             smooth_field(mesh), config);
+  const auto report = ct::write_field(tiers, "one.bp", "v", mesh,
+                                      smooth_field(mesh), config);
   ASSERT_EQ(report.products.size(), 1u);
   EXPECT_EQ(report.products[0].name, "base");
   EXPECT_EQ(report.products[0].level, 0u);
@@ -374,30 +370,30 @@ TEST(ProgressiveReader, BaseThenRefineToFull) {
   config.levels = 3;
   config.codec = "zfp";
   config.error_bound = 1e-7;
-  cc::refactor_and_write(tiers, "p.bp", "dpot", mesh, values, config);
+  ct::write_field(tiers, "p.bp", "dpot", mesh, values, config);
 
-  cc::ProgressiveReader reader(tiers, "p.bp", "dpot");
-  EXPECT_EQ(reader.level_count(), 3u);
-  EXPECT_EQ(reader.current_level(), 2u);
-  EXPECT_GT(reader.decimation_ratio(), 3.0);
-  const auto base_vertices = reader.values().size();
+  const auto reader = ct::open_reader(tiers, "p.bp", "dpot");
+  EXPECT_EQ(reader->level_count(), 3u);
+  EXPECT_EQ(reader->current_level(), 2u);
+  EXPECT_GT(reader->decimation_ratio(), 3.0);
+  const auto base_vertices = reader->values().size();
   EXPECT_LT(base_vertices, mesh.vertex_count());
-  EXPECT_EQ(reader.values().size(), reader.current_mesh().vertex_count());
+  EXPECT_EQ(reader->values().size(), reader->current_mesh().vertex_count());
 
-  const auto step = reader.refine();
-  EXPECT_EQ(reader.current_level(), 1u);
-  EXPECT_GT(reader.values().size(), base_vertices);
+  const auto step = reader->refine();
+  EXPECT_EQ(reader->current_level(), 1u);
+  EXPECT_GT(reader->values().size(), base_vertices);
   EXPECT_GT(step.io_seconds, 0.0);
   EXPECT_GT(step.restore_seconds, 0.0);
 
-  reader.refine();
-  EXPECT_TRUE(reader.at_full_accuracy());
-  ASSERT_EQ(reader.values().size(), values.size());
+  reader->refine();
+  EXPECT_TRUE(reader->at_full_accuracy());
+  ASSERT_EQ(reader->values().size(), values.size());
   // Error budget: one codec bound per product applied along the chain
   // (base + 2 deltas), so <= 3 * eb.
-  EXPECT_LE(cu::max_abs_error(values, reader.values()),
+  EXPECT_LE(cu::max_abs_error(values, reader->values()),
             3.0 * config.error_bound);
-  EXPECT_THROW(reader.refine(), canopus::Error);
+  EXPECT_THROW(reader->refine(), canopus::Error);
 }
 
 TEST(ProgressiveReader, RefineToSkipsLevels) {
@@ -407,14 +403,14 @@ TEST(ProgressiveReader, RefineToSkipsLevels) {
   cc::RefactorConfig config;
   config.levels = 4;
   config.error_bound = 1e-6;
-  cc::refactor_and_write(tiers, "p4.bp", "v", mesh, values, config);
+  ct::write_field(tiers, "p4.bp", "v", mesh, values, config);
 
-  cc::ProgressiveReader reader(tiers, "p4.bp", "v");
-  EXPECT_EQ(reader.current_level(), 3u);
-  const auto t = reader.refine_to(0);
-  EXPECT_TRUE(reader.at_full_accuracy());
+  const auto reader = ct::open_reader(tiers, "p4.bp", "v");
+  EXPECT_EQ(reader->current_level(), 3u);
+  const auto t = reader->refine_to(0);
+  EXPECT_TRUE(reader->at_full_accuracy());
   EXPECT_GT(t.io_seconds, 0.0);
-  EXPECT_LE(cu::max_abs_error(values, reader.values()),
+  EXPECT_LE(cu::max_abs_error(values, reader->values()),
             4.0 * config.error_bound);
 }
 
@@ -427,12 +423,12 @@ TEST(ProgressiveReader, LosslessChainIsExactToRounding) {
   cc::RefactorConfig config;
   config.levels = 3;
   config.codec = "fpc";
-  cc::refactor_and_write(tiers, "exact.bp", "v", mesh, values, config);
+  ct::write_field(tiers, "exact.bp", "v", mesh, values, config);
 
-  cc::ProgressiveReader reader(tiers, "exact.bp", "v");
-  reader.refine_to(0);
-  ASSERT_EQ(reader.values().size(), values.size());
-  EXPECT_LE(cu::max_abs_error(values, reader.values()), 1e-14);
+  const auto reader = ct::open_reader(tiers, "exact.bp", "v");
+  reader->refine_to(0);
+  ASSERT_EQ(reader->values().size(), values.size());
+  EXPECT_LE(cu::max_abs_error(values, reader->values()), 1e-14);
 }
 
 TEST(ProgressiveReader, EachRefinementImprovesAccuracy) {
@@ -443,20 +439,21 @@ TEST(ProgressiveReader, EachRefinementImprovesAccuracy) {
   config.levels = 4;
   config.codec = "zfp";
   config.error_bound = 1e-8;
-  cc::refactor_and_write(tiers, "imp.bp", "v", mesh, values, config);
+  ct::write_field(tiers, "imp.bp", "v", mesh, values, config);
 
   // Reference restoration chain evaluated against rasterized comparisons is
   // heavy; instead compare RMS error of the *restored full level* as we start
   // from deeper bases. Here: verify the restored L0 from all levels matches,
   // and that intermediate levels have monotonically growing vertex counts.
-  cc::ProgressiveReader reader(tiers, "imp.bp", "v");
-  std::size_t prev = reader.values().size();
-  while (!reader.at_full_accuracy()) {
-    reader.refine();
-    EXPECT_GT(reader.values().size(), prev);
-    prev = reader.values().size();
+  const auto reader = ct::open_reader(tiers, "imp.bp", "v");
+  std::size_t prev = reader->values().size();
+  while (!reader->at_full_accuracy()) {
+    reader->refine();
+    EXPECT_GT(reader->values().size(), prev);
+    prev = reader->values().size();
   }
-  EXPECT_LE(cu::max_abs_error(values, reader.values()), 4 * config.error_bound);
+  EXPECT_LE(cu::max_abs_error(values, reader->values()),
+            4 * config.error_bound);
 }
 
 TEST(ProgressiveReader, RefineUntilStopsEarlyOnSmoothData) {
@@ -471,15 +468,15 @@ TEST(ProgressiveReader, RefineUntilStopsEarlyOnSmoothData) {
   cc::RefactorConfig config;
   config.levels = 4;
   config.codec = "fpc";
-  cc::refactor_and_write(tiers, "ru.bp", "v", mesh, values, config);
+  ct::write_field(tiers, "ru.bp", "v", mesh, values, config);
 
-  cc::ProgressiveReader reader(tiers, "ru.bp", "v");
-  reader.refine_until(1e-3);
-  EXPECT_GT(reader.current_level(), 0u);  // stopped before full accuracy
+  const auto reader = ct::open_reader(tiers, "ru.bp", "v");
+  reader->refine_until(1e-3);
+  EXPECT_GT(reader->current_level(), 0u);  // stopped before full accuracy
 
-  cc::ProgressiveReader reader2(tiers, "ru.bp", "v");
-  reader2.refine_until(0.0);  // impossible threshold -> full accuracy
-  EXPECT_TRUE(reader2.at_full_accuracy());
+  const auto reader2 = ct::open_reader(tiers, "ru.bp", "v");
+  reader2->refine_until(0.0);  // impossible threshold -> full accuracy
+  EXPECT_TRUE(reader2->at_full_accuracy());
 }
 
 TEST(ProgressiveReader, CumulativeTimingsAccumulate) {
@@ -487,14 +484,14 @@ TEST(ProgressiveReader, CumulativeTimingsAccumulate) {
   const auto mesh = cm::make_rect_mesh(25, 25, 1.0, 1.0);
   cc::RefactorConfig config;
   config.levels = 3;
-  cc::refactor_and_write(tiers, "t.bp", "v", mesh, smooth_field(mesh), config);
+  ct::write_field(tiers, "t.bp", "v", mesh, smooth_field(mesh), config);
 
-  cc::ProgressiveReader reader(tiers, "t.bp", "v");
-  const double after_open = reader.cumulative().io_seconds;
+  const auto reader = ct::open_reader(tiers, "t.bp", "v");
+  const double after_open = reader->cumulative().io_seconds;
   EXPECT_GT(after_open, 0.0);
-  reader.refine();
-  EXPECT_GT(reader.cumulative().io_seconds, after_open);
-  EXPECT_GT(reader.cumulative().bytes_read, 0u);
+  reader->refine();
+  EXPECT_GT(reader->cumulative().io_seconds, after_open);
+  EXPECT_GT(reader->cumulative().bytes_read, 0u);
 }
 
 TEST(ProgressiveReader, RestoredMeshesAreValid) {
@@ -502,13 +499,13 @@ TEST(ProgressiveReader, RestoredMeshesAreValid) {
   const auto mesh = cm::make_disk_mesh(12, 64, 1.0, 0.1, 59);
   cc::RefactorConfig config;
   config.levels = 3;
-  cc::refactor_and_write(tiers, "m.bp", "v", mesh, smooth_field(mesh), config);
-  cc::ProgressiveReader reader(tiers, "m.bp", "v");
+  ct::write_field(tiers, "m.bp", "v", mesh, smooth_field(mesh), config);
+  const auto reader = ct::open_reader(tiers, "m.bp", "v");
   while (true) {
-    const auto report = cm::validate(reader.current_mesh());
-    EXPECT_TRUE(report.ok) << "level " << reader.current_level();
-    if (reader.at_full_accuracy()) break;
-    reader.refine();
+    const auto report = cm::validate(reader->current_mesh());
+    EXPECT_TRUE(report.ok) << "level " << reader->current_level();
+    if (reader->at_full_accuracy()) break;
+    reader->refine();
   }
 }
 
@@ -523,10 +520,10 @@ TEST(ErrorBudget, TotalBudgetHeldEndToEnd) {
   config.codec = "zfp";
   config.set_total_error_budget(1e-4);
   EXPECT_DOUBLE_EQ(config.error_bound, 2.5e-5);
-  cc::refactor_and_write(tiers, "budget.bp", "v", mesh, values, config);
-  cc::ProgressiveReader reader(tiers, "budget.bp", "v");
-  reader.refine_to(0);
-  EXPECT_LE(cu::max_abs_error(values, reader.values()), 1e-4);
+  ct::write_field(tiers, "budget.bp", "v", mesh, values, config);
+  const auto reader = ct::open_reader(tiers, "budget.bp", "v");
+  reader->refine_to(0);
+  EXPECT_LE(cu::max_abs_error(values, reader->values()), 1e-4);
 }
 
 TEST(ProgressiveReader, RefineUntilValidatesThreshold) {
@@ -535,20 +532,20 @@ TEST(ProgressiveReader, RefineUntilValidatesThreshold) {
   cc::RefactorConfig config;
   config.levels = 3;
   config.codec = "fpc";
-  cc::refactor_and_write(tiers, "rv.bp", "v", mesh, smooth_field(mesh), config);
+  ct::write_field(tiers, "rv.bp", "v", mesh, smooth_field(mesh), config);
 
-  cc::ProgressiveReader reader(tiers, "rv.bp", "v");
-  const auto before = reader.current_level();
+  const auto reader = ct::open_reader(tiers, "rv.bp", "v");
+  const auto before = reader->current_level();
   // A NaN/inf threshold is a caller bug, rejected before any I/O...
-  EXPECT_THROW(reader.refine_until(std::nan("")), canopus::Error);
+  EXPECT_THROW(reader->refine_until(std::nan("")), canopus::Error);
   EXPECT_THROW(
-      reader.refine_until(std::numeric_limits<double>::infinity()),
+      reader->refine_until(std::numeric_limits<double>::infinity()),
       canopus::Error);
-  EXPECT_EQ(reader.current_level(), before);
+  EXPECT_EQ(reader->current_level(), before);
   // ...while any threshold <= 0 is legal and means "never stop early":
   // refine all the way to full accuracy.
-  reader.refine_until(-1.0);
-  EXPECT_TRUE(reader.at_full_accuracy());
+  reader->refine_until(-1.0);
+  EXPECT_TRUE(reader->at_full_accuracy());
 }
 
 // ----------------------------------------------------- simd equivalence --

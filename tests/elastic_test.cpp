@@ -26,7 +26,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "core/canopus.hpp"
@@ -47,6 +46,7 @@ namespace cf = canopus::fabric;
 namespace cm = canopus::mesh;
 namespace cs = canopus::storage;
 namespace cv = canopus::serve;
+namespace ct = canopus::test;
 
 using canopus::Status;
 using canopus::StatusCode;
@@ -79,8 +79,8 @@ struct Staged {
   cm::TriMesh mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
 
   Staged() {
-    cc::refactor_and_write(staging, "d.bp", "v", mesh, smooth_field(mesh),
-                           refactor_config());
+    ct::write_field(staging, "d.bp", "v", mesh, smooth_field(mesh),
+                    refactor_config());
   }
 };
 
@@ -537,8 +537,9 @@ TEST(ElasticServe, QueryAfterDetachNeverRoutesToRemovedNode) {
   cf::Fabric fabric(fo, roomy_node_tiers());
   fabric.import_container(data.staging, "d.bp");
 
-  auto options = canopus::Options{}.with_threads(1).with_serve(
-      cv::ServeConfig{.workers = 2, .queue_limit = 16});
+  const canopus::Options options{
+      .parallel = {.threads = 1},
+      .serve = cv::ServeConfig{.workers = 2, .queue_limit = 16}};
   canopus::Pipeline pipeline(fabric.node(0), options);
   ASSERT_TRUE(pipeline.attach_fabric(&fabric).ok());
   ASSERT_EQ(pipeline.serving_fabric(), &fabric);
@@ -581,17 +582,17 @@ TEST(ElasticServe, QueryAfterDetachNeverRoutesToRemovedNode) {
 
 // ------------------------------------------ facade: Options + control plane
 
-TEST(ElasticOptions, BuilderChainsAndAliasIsSameType) {
-  static_assert(std::is_same_v<canopus::PipelineOptions, canopus::Options>,
-                "PipelineOptions must remain an alias of Options");
-  const auto options = canopus::Options{}
-                           .with_threads(3)
-                           .with_cache({.budget_bytes = 1 << 20, .shards = 2})
-                           .with_serve({.workers = 1})
-                           .with_io({.depth = 4, .batch = 2})
-                           .with_fabric({.nodes = 2})
-                           .with_retry({.max_attempts = 2})
-                           .with_trace("t.json");
+TEST(ElasticOptions, DesignatedInitializersSetEveryBlock) {
+  const canopus::Options options{
+      .parallel = {.threads = 3},
+      .observability = canopus::obs::ObservabilityOptions{
+          .enabled = true, .trace_path = "t.json"},
+      .retry = cs::RetryPolicy{.max_attempts = 2},
+      .cache = canopus::cache::CacheConfig{.budget_bytes = 1 << 20,
+                                           .shards = 2},
+      .serve = cv::ServeConfig{.workers = 1},
+      .io = {.depth = 4, .batch = 2},
+      .fabric = cf::FabricOptions{.nodes = 2}};
   EXPECT_EQ(options.parallel.threads, 3u);
   ASSERT_TRUE(options.cache.has_value());
   EXPECT_EQ(options.cache->budget_bytes, 1u << 20);
@@ -610,20 +611,21 @@ TEST(ElasticOptions, BuilderChainsAndAliasIsSameType) {
 
 TEST(ElasticOptions, ValidationNamesTheOffendingKnob) {
   {
-    auto options = canopus::Options{}.with_serve({.workers = 0});
+    const canopus::Options options{.serve = cv::ServeConfig{.workers = 0}};
     const Status st = options.check();
     EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
     EXPECT_NE(st.detail.find("serve.workers"), std::string::npos) << st.detail;
     EXPECT_THROW(options.validate(), canopus::Error);
   }
   {
-    auto options = canopus::Options{}.with_fabric({.nodes = 0});
+    const canopus::Options options{.fabric = cf::FabricOptions{.nodes = 0}};
     const Status st = options.check();
     EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
     EXPECT_NE(st.detail.find("fabric.nodes"), std::string::npos) << st.detail;
   }
   {
-    auto options = canopus::Options{}.with_cache({.budget_bytes = 0});
+    const canopus::Options options{
+        .cache = canopus::cache::CacheConfig{.budget_bytes = 0}};
     EXPECT_EQ(options.check().code, StatusCode::kInvalidArgument);
   }
   {
@@ -635,7 +637,8 @@ TEST(ElasticOptions, ValidationNamesTheOffendingKnob) {
   // kInvalidArgument through the Status-returning load().
   cs::StorageHierarchy h({cs::tmpfs_spec(1 << 20)});
   EXPECT_THROW(
-      canopus::Pipeline(h, canopus::Options{}.with_serve({.workers = 0})),
+      canopus::Pipeline(
+          h, canopus::Options{.serve = cv::ServeConfig{.workers = 0}}),
       canopus::Error);
 }
 
@@ -663,8 +666,8 @@ TEST(ElasticFacade, LoadReturnsStatusInsteadOfThrowing) {
   ASSERT_NE(pipeline, nullptr);
   EXPECT_EQ(pipeline->options().parallel.threads, 1u);
 
-  // flush_trace is the Status spelling of flush_observability; with no sink
-  // configured there is nothing to flush and that is kOk.
+  // With no trace sink configured flush_trace has nothing to flush, and
+  // that is kOk.
   std::string trace_path = "unset";
   EXPECT_TRUE(pipeline->flush_trace(&trace_path).ok());
   EXPECT_TRUE(trace_path.empty());
@@ -698,7 +701,7 @@ TEST(ElasticFacade, AttachDrainDetachRoundTripThroughPipeline) {
   fabric.import_container(data.staging, "d.bp");
 
   canopus::Pipeline pipeline(fabric.node(0),
-                             canopus::Options{}.with_threads(1));
+                             canopus::Options{.parallel = {.threads = 1}});
   ASSERT_TRUE(pipeline.attach_fabric(&fabric).ok());
 
   std::uint32_t id = 0;

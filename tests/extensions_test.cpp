@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "compress/codec.hpp"
 #include "compress/huffman.hpp"
@@ -12,8 +17,10 @@
 #include "mesh/generators.hpp"
 #include "sim/datasets.hpp"
 #include "storage/hierarchy.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "test_support.hpp"
 
 namespace cc = canopus::core;
 namespace cm = canopus::mesh;
@@ -21,6 +28,7 @@ namespace cs = canopus::storage;
 namespace cp = canopus::compress;
 namespace cu = canopus::util;
 namespace si = canopus::sim;
+namespace ct = canopus::test;
 
 namespace {
 
@@ -259,11 +267,11 @@ TEST(Campaign, WritesAndReadsBackAllTimesteps) {
   const auto geometry = cc::GeometryCache::load(tiers, "camp.bp", "dpot");
   EXPECT_EQ(geometry.level_count(), 3u);
   for (int t = 0; t < 5; ++t) {
-    cc::ProgressiveReader reader(tiers, "camp.bp", cc::timestep_var("dpot", t),
-                                 &geometry);
-    reader.refine_to(0);
-    ASSERT_EQ(reader.values().size(), steps[t].size()) << "t=" << t;
-    EXPECT_LE(cu::max_abs_error(steps[t], reader.values()),
+    const auto reader = ct::open_reader(tiers, "camp.bp",
+                                        cc::timestep_var("dpot", t), &geometry);
+    reader->refine_to(0);
+    ASSERT_EQ(reader->values().size(), steps[t].size()) << "t=" << t;
+    EXPECT_LE(cu::max_abs_error(steps[t], reader->values()),
               3.0 * config.refactor.error_bound)
         << "t=" << t;
   }
@@ -320,7 +328,7 @@ TEST(GeometryCache, MatchesOnDemandReads) {
   cc::RefactorConfig config;
   config.levels = 3;
   config.codec = "fpc";
-  cc::refactor_and_write(tiers, "gc.bp", "v", mesh, values, config);
+  ct::write_field(tiers, "gc.bp", "v", mesh, values, config);
 
   double one_time_io = 0.0;
   const auto geometry = cc::GeometryCache::load(tiers, "gc.bp", "v", &one_time_io);
@@ -328,17 +336,17 @@ TEST(GeometryCache, MatchesOnDemandReads) {
   ASSERT_EQ(geometry.level_count(), 3u);
   ASSERT_EQ(geometry.mappings.size(), 2u);
 
-  cc::ProgressiveReader cached(tiers, "gc.bp", "v", &geometry);
-  cc::ProgressiveReader plain(tiers, "gc.bp", "v");
-  cached.refine_to(0);
-  plain.refine_to(0);
-  ASSERT_EQ(cached.values().size(), plain.values().size());
-  for (std::size_t i = 0; i < cached.values().size(); ++i) {
-    EXPECT_EQ(cached.values()[i], plain.values()[i]);
+  const auto cached = ct::open_reader(tiers, "gc.bp", "v", &geometry);
+  const auto plain = ct::open_reader(tiers, "gc.bp", "v");
+  cached->refine_to(0);
+  plain->refine_to(0);
+  ASSERT_EQ(cached->values().size(), plain->values().size());
+  for (std::size_t i = 0; i < cached->values().size(); ++i) {
+    EXPECT_EQ(cached->values()[i], plain->values()[i]);
   }
   // The cached reader moves strictly fewer bytes per read.
-  EXPECT_LT(cached.cumulative().bytes_read, plain.cumulative().bytes_read);
-  EXPECT_TRUE(cached.current_mesh() == plain.current_mesh());
+  EXPECT_LT(cached->cumulative().bytes_read, plain->cumulative().bytes_read);
+  EXPECT_TRUE(cached->current_mesh() == plain->current_mesh());
 }
 
 TEST(GeometryCache, MismatchedCacheRejected) {
@@ -348,11 +356,113 @@ TEST(GeometryCache, MismatchedCacheRejected) {
   cc::RefactorConfig two_levels, three_levels;
   two_levels.levels = 2;
   three_levels.levels = 3;
-  cc::refactor_and_write(tiers, "a.bp", "v", mesh, wave_field(mesh), two_levels);
-  cc::refactor_and_write(tiers, "b.bp", "v", mesh, wave_field(mesh), three_levels);
+  ct::write_field(tiers, "a.bp", "v", mesh, wave_field(mesh), two_levels);
+  ct::write_field(tiers, "b.bp", "v", mesh, wave_field(mesh), three_levels);
   const auto geometry = cc::GeometryCache::load(tiers, "a.bp", "v");
-  EXPECT_THROW(cc::ProgressiveReader(tiers, "b.bp", "v", &geometry),
-               canopus::Error);
+  canopus::Pipeline pipeline(tiers);
+  canopus::ReadRequest request;
+  request.path = "b.bp";
+  request.var = "v";
+  request.geometry = &geometry;
+  std::unique_ptr<cc::ProgressiveReader> reader;
+  EXPECT_FALSE(pipeline.open(request, &reader).ok());
+  EXPECT_EQ(reader, nullptr);
+}
+
+namespace {
+
+cu::BytesView coordinate_bytes(const std::vector<cm::Vec2>& vertices) {
+  return cu::BytesView(reinterpret_cast<const std::byte*>(vertices.data()),
+                       vertices.size() * sizeof(cm::Vec2));
+}
+
+/// Overwrites the four bytes at `offset` of `vertices`' storage so that the
+/// CRC-32 of all of it becomes `target`. A CRC is affine over GF(2) in its
+/// input, so the patch solves a 32x32 linear system whose columns are the
+/// CRC responses to the patch's single bits.
+void forge_crc32(std::vector<cm::Vec2>& vertices, std::size_t offset,
+                 std::uint32_t target) {
+  auto* bytes = reinterpret_cast<std::byte*>(vertices.data());
+  const auto crc_with = [&](std::uint32_t patch) {
+    std::memcpy(bytes + offset, &patch, sizeof(patch));
+    return cu::Crc32::compute(coordinate_bytes(vertices));
+  };
+  const std::uint32_t zero = crc_with(0);
+  // XOR basis of the columns, keyed by pivot bit, each with the patch bits
+  // that produce it.
+  std::array<std::uint32_t, 32> basis{};
+  std::array<std::uint32_t, 32> combo{};
+  for (int i = 0; i < 32; ++i) {
+    std::uint32_t v = crc_with(1u << i) ^ zero;
+    std::uint32_t c = 1u << i;
+    for (int bit = 31; bit >= 0 && v != 0; --bit) {
+      if (((v >> bit) & 1u) == 0) continue;
+      if (basis[bit] == 0) {
+        basis[bit] = v;
+        combo[bit] = c;
+        break;
+      }
+      v ^= basis[bit];
+      c ^= combo[bit];
+    }
+  }
+  std::uint32_t want = target ^ zero;
+  std::uint32_t patch = 0;
+  for (int bit = 31; bit >= 0; --bit) {
+    if (((want >> bit) & 1u) == 0) continue;
+    ASSERT_NE(basis[bit], 0u) << "CRC-32 not forgeable at this offset";
+    want ^= basis[bit];
+    patch ^= combo[bit];
+  }
+  crc_with(patch);
+}
+
+}  // namespace
+
+// Two meshes whose vertex count, bounds and coordinate CRC-32 all agree (the
+// memo's lookup key) but whose coordinates differ must each get their own
+// Morton order: a shared order would give wrong chunk bounding boxes on
+// write and wrongly unpermuted deltas on read.
+TEST(GeometryCache, SpatialOrderMemoComparesExactCoordinates) {
+  const auto original = cm::make_rect_mesh(16, 16, 1.0, 1.0, 0.1, 5);
+  const cm::VertexId a = 5 * 16 + 5;
+  const cm::VertexId b = 9 * 16 + 10;
+  const cm::VertexId c = 7 * 16 + 3;
+
+  // Relabel: swap interior vertices a and b (same geometry, new numbering).
+  auto vertices = original.vertices();
+  std::swap(vertices[a], vertices[b]);
+  auto triangles = original.triangles();
+  for (auto& t : triangles) {
+    for (auto& v : t.v) {
+      if (v == a) {
+        v = b;
+      } else if (v == b) {
+        v = a;
+      }
+    }
+  }
+  // Forge the low mantissa bytes of interior vertex c's x (little-endian
+  // doubles) until the CRC-32 matches the original's again.
+  forge_crc32(vertices, c * sizeof(cm::Vec2),
+              cu::Crc32::compute(coordinate_bytes(original.vertices())));
+  const cm::TriMesh forged(std::move(vertices), std::move(triangles));
+
+  // The fingerprint really collides...
+  ASSERT_EQ(forged.vertex_count(), original.vertex_count());
+  ASSERT_EQ(forged.bounds().lo.x, original.bounds().lo.x);
+  ASSERT_EQ(forged.bounds().lo.y, original.bounds().lo.y);
+  ASSERT_EQ(forged.bounds().hi.x, original.bounds().hi.x);
+  ASSERT_EQ(forged.bounds().hi.y, original.bounds().hi.y);
+  ASSERT_EQ(cu::Crc32::compute(coordinate_bytes(forged.vertices())),
+            cu::Crc32::compute(coordinate_bytes(original.vertices())));
+  ASSERT_NE(forged.vertex(c).x, original.vertex(c).x);
+  ASSERT_NE(cm::spatial_order(forged), cm::spatial_order(original));
+
+  // ...and each mesh still gets its own order, in either lookup order.
+  EXPECT_EQ(*cc::cached_spatial_order(original), cm::spatial_order(original));
+  EXPECT_EQ(*cc::cached_spatial_order(forged), cm::spatial_order(forged));
+  EXPECT_EQ(*cc::cached_spatial_order(original), cm::spatial_order(original));
 }
 
 // ----------------------------------------------------------- codec pipelines --
@@ -400,10 +510,10 @@ TEST(Pipelines, UsableInsideRefactorer) {
   config.levels = 3;
   config.codec = "zfp+lzss";
   config.error_bound = 1e-6;
-  cc::refactor_and_write(tiers, "pipe.bp", "v", mesh, values, config);
-  cc::ProgressiveReader reader(tiers, "pipe.bp", "v");
-  reader.refine_to(0);
-  EXPECT_LE(cu::max_abs_error(values, reader.values()), 3e-6);
+  ct::write_field(tiers, "pipe.bp", "v", mesh, values, config);
+  const auto reader = ct::open_reader(tiers, "pipe.bp", "v");
+  reader->refine_to(0);
+  EXPECT_LE(cu::max_abs_error(values, reader->values()), 3e-6);
 }
 
 // ------------------------------------------------------- failure injection --
@@ -416,16 +526,15 @@ TEST(FailureInjection, CorruptDeltaPayloadSurfacesAsError) {
   config.levels = 2;
   config.codec = "sz";
   config.error_bound = 1e-4;
-  cc::refactor_and_write(tiers, "corrupt.bp", "v", mesh, wave_field(mesh),
-                         config);
+  ct::write_field(tiers, "corrupt.bp", "v", mesh, wave_field(mesh), config);
   // Overwrite the delta block's object with garbage, keeping metadata intact.
   canopus::adios::BpReader meta(tiers, "corrupt.bp");
   const auto info = meta.inq_var("v");
   const auto* rec = info.block(canopus::adios::BlockKind::kDelta, 0);
   ASSERT_NE(rec, nullptr);
   tiers.write_to(rec->tier, rec->object_key, blob(rec->stored_bytes, 99));
-  cc::ProgressiveReader reader(tiers, "corrupt.bp", "v");
-  EXPECT_THROW(reader.refine(), canopus::Error);
+  const auto reader = ct::open_reader(tiers, "corrupt.bp", "v");
+  EXPECT_THROW(reader->refine(), canopus::Error);
 }
 
 TEST(FailureInjection, TruncatedMetadataSurfacesAsError) {
@@ -433,7 +542,7 @@ TEST(FailureInjection, TruncatedMetadataSurfacesAsError) {
   const auto mesh = cm::make_rect_mesh(8, 8, 1.0, 1.0);
   cc::RefactorConfig config;
   config.levels = 2;
-  cc::refactor_and_write(tiers, "trunc.bp", "v", mesh, wave_field(mesh), config);
+  ct::write_field(tiers, "trunc.bp", "v", mesh, wave_field(mesh), config);
   cu::Bytes meta_bytes;
   tiers.read(canopus::adios::metadata_key("trunc.bp"), meta_bytes);
   meta_bytes.resize(meta_bytes.size() / 2);
@@ -461,9 +570,9 @@ TEST(VariableGroup, MultipleVariablesShareOneGeometry) {
 
   const auto geometry = cc::GeometryCache::load(tiers, "grp.bp", "geometry");
   for (const auto& [name, truth] : group) {
-    cc::ProgressiveReader reader(tiers, "grp.bp", name, &geometry);
-    reader.refine_to(0);
-    EXPECT_LE(cu::max_abs_error(truth, reader.values()), 3e-7) << name;
+    const auto reader = ct::open_reader(tiers, "grp.bp", name, &geometry);
+    reader->refine_to(0);
+    EXPECT_LE(cu::max_abs_error(truth, reader->values()), 3e-7) << name;
   }
   // Exactly one mesh block per level in the whole container.
   canopus::adios::BpReader raw(tiers, "grp.bp");

@@ -37,6 +37,7 @@ namespace cf = canopus::fabric;
 namespace cm = canopus::mesh;
 namespace cs = canopus::storage;
 namespace cv = canopus::serve;
+namespace ct = canopus::test;
 
 using canopus::Status;
 using canopus::util::Bytes;
@@ -68,8 +69,8 @@ struct Staged {
   cm::TriMesh mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
 
   Staged() {
-    cc::refactor_and_write(staging, "d.bp", "v", mesh, smooth_field(mesh),
-                           refactor_config());
+    ct::write_field(staging, "d.bp", "v", mesh, smooth_field(mesh),
+                    refactor_config());
   }
 
   /// Every sharded (base/delta/data) block record in the container.
@@ -371,10 +372,10 @@ TEST(Fabric, CostModelChargesRemoteEnvelopeForNonResidentChunks) {
   std::uint32_t coarsest = 0;
   double base_total = 0.0;
   {
-    cc::ProgressiveReader probe(home, "d.bp", "v");
-    coarsest = probe.current_level();
-    base_total = probe.cumulative().total();
-    const auto model = cv::CostModel::build(home, probe);
+    const auto probe = ct::open_reader(home, "d.bp", "v");
+    coarsest = probe->current_level();
+    base_total = probe->cumulative().total();
+    const auto model = cv::CostModel::build(home, *probe);
     // Every refinement step has 8 Morton-range chunks, at most 2 of them on
     // node 0: its planned I/O must include at least one 5 s network hop.
     for (std::uint32_t l = 0; l < coarsest; ++l) {
@@ -407,8 +408,8 @@ TEST(Fabric, CostModelChargesRemoteEnvelopeForNonResidentChunks) {
   single.nodes = 1;
   cf::Fabric local(single, roomy_node_tiers());
   local.import_container(data.staging, "d.bp");
-  cc::ProgressiveReader probe(local.node(0), "d.bp", "v");
-  const auto model = cv::CostModel::build(local.node(0), probe);
+  const auto probe = ct::open_reader(local.node(0), "d.bp", "v");
+  const auto model = cv::CostModel::build(local.node(0), *probe);
   for (std::uint32_t l = 0; l < coarsest; ++l) {
     EXPECT_LT(model.step(l).io_seconds, 1.0) << "level " << l;
   }
@@ -433,7 +434,7 @@ TEST(Fabric, NodeKillMidRunDegradesToReplicasWithoutLostReads) {
   cf::FabricOptions fo;
   fo.nodes = kNodes;
 
-  canopus::PipelineOptions popt;
+  canopus::Options popt;
   popt.parallel.threads = 1;  // serial, on-demand reads: exact fetch counts
   popt.parallel.read_ahead = false;
 

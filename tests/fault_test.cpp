@@ -24,6 +24,7 @@ namespace cc = canopus::core;
 namespace cs = canopus::storage;
 namespace cu = canopus::util;
 namespace si = canopus::sim;
+namespace ct = canopus::test;
 
 namespace {
 
@@ -366,38 +367,37 @@ TEST(ReaderDegradation, DeadSlowTierDegradesInsteadOfThrowing) {
   config.levels = 3;
   config.codec = "zfp";
   config.error_bound = 1e-5;
-  cc::refactor_and_write(tiers, "deg.bp", ds.variable, ds.mesh, ds.values,
-                         config);
+  ct::write_field(tiers, "deg.bp", ds.variable, ds.mesh, ds.values, config);
 
   // Open first (base + metadata live on the fast tier), then kill the slow
   // tier that holds every delta.
-  cc::ProgressiveReader reader(tiers, "deg.bp", ds.variable);
-  const auto base_values = reader.values();
+  const auto reader = ct::open_reader(tiers, "deg.bp", ds.variable);
+  const auto base_values = reader->values();
   auto inj = std::make_shared<cs::FaultInjector>(2);
   cs::FaultProfile p;
   p.read_error = 1.0;
   inj->set_profile(1, p);
   tiers.attach_fault_injector(inj);
 
-  reader.refine();  // must NOT throw
-  EXPECT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
-  EXPECT_EQ(reader.current_level(), 2u);        // still at the base level
-  EXPECT_EQ(reader.values(), base_values);      // state untouched
-  EXPECT_EQ(reader.cumulative().degraded_steps, 1u);
+  reader->refine();  // must NOT throw
+  EXPECT_EQ(reader->last_status(), cc::RefineStatus::kDegraded);
+  EXPECT_EQ(reader->current_level(), 2u);    // still at the base level
+  EXPECT_EQ(reader->values(), base_values);  // state untouched
+  EXPECT_EQ(reader->cumulative().degraded_steps, 1u);
   // It did exhaust the full retry budget before giving up.
   EXPECT_EQ(inj->counters().read_errors, tiers.retry_policy().max_attempts);
 
   // refine_to stops at the first degraded step instead of spinning.
-  reader.refine_to(0);
-  EXPECT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
-  EXPECT_EQ(reader.current_level(), 2u);
+  reader->refine_to(0);
+  EXPECT_EQ(reader->last_status(), cc::RefineStatus::kDegraded);
+  EXPECT_EQ(reader->current_level(), 2u);
 
   // Tier recovers: refinement picks up where it left off.
   tiers.attach_fault_injector(nullptr);
-  reader.refine_to(0);
-  EXPECT_EQ(reader.last_status(), cc::RefineStatus::kOk);
-  EXPECT_TRUE(reader.at_full_accuracy());
-  EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
+  reader->refine_to(0);
+  EXPECT_EQ(reader->last_status(), cc::RefineStatus::kOk);
+  EXPECT_TRUE(reader->at_full_accuracy());
+  EXPECT_LE(cu::max_abs_error(ds.values, reader->values()),
             3.0 * config.error_bound);
 }
 
@@ -412,8 +412,7 @@ TEST(ReaderDegradation, CountersMatchInjectedFaults) {
   config.levels = 5;
   config.codec = "zfp";
   config.error_bound = 1e-5;
-  cc::refactor_and_write(tiers, "acc.bp", ds.variable, ds.mesh, ds.values,
-                         config);
+  ct::write_field(tiers, "acc.bp", ds.variable, ds.mesh, ds.values, config);
   // Geometry preloaded (and replicas written) before faults start, so the
   // per-timestep loop below reads only deltas from the faulted tier.
   const auto geometry = cc::GeometryCache::load(tiers, "acc.bp", ds.variable);
@@ -430,16 +429,17 @@ TEST(ReaderDegradation, CountersMatchInjectedFaults) {
 
   std::size_t retries = 0, corruptions = 0;
   for (int pass = 0; pass < 5; ++pass) {
-    cc::ProgressiveReader reader(tiers, "acc.bp", ds.variable, &geometry);
-    reader.refine_to(0);  // must not throw
-    ASSERT_NE(reader.last_status(), cc::RefineStatus::kDegraded)
+    const auto reader = ct::open_reader(tiers, "acc.bp", ds.variable,
+                                        &geometry);
+    reader->refine_to(0);  // must not throw
+    ASSERT_NE(reader->last_status(), cc::RefineStatus::kDegraded)
         << "pass " << pass;
-    ASSERT_TRUE(reader.at_full_accuracy()) << "pass " << pass;
-    EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
+    ASSERT_TRUE(reader->at_full_accuracy()) << "pass " << pass;
+    EXPECT_LE(cu::max_abs_error(ds.values, reader->values()),
               5.0 * config.error_bound)
         << "pass " << pass;
-    retries += reader.cumulative().retries;
-    corruptions += reader.cumulative().corruptions_detected;
+    retries += reader->cumulative().retries;
+    corruptions += reader->cumulative().corruptions_detected;
   }
   const auto& c = inj->counters();
   EXPECT_EQ(retries, c.read_errors + c.corruptions);
@@ -456,9 +456,8 @@ TEST(ReaderDegradation, RefineStatusRetriedOnRecoveredFault) {
   config.levels = 3;
   config.codec = "zfp";
   config.error_bound = 1e-5;
-  cc::refactor_and_write(tiers, "ret.bp", ds.variable, ds.mesh, ds.values,
-                         config);
-  cc::ProgressiveReader reader(tiers, "ret.bp", ds.variable);
+  ct::write_field(tiers, "ret.bp", ds.variable, ds.mesh, ds.values, config);
+  const auto reader = ct::open_reader(tiers, "ret.bp", ds.variable);
 
   auto inj = std::make_shared<cs::FaultInjector>(17);
   cs::FaultProfile p;
@@ -470,13 +469,13 @@ TEST(ReaderDegradation, RefineStatusRetriedOnRecoveredFault) {
   tiers.set_retry_policy(retry);
 
   std::size_t retried_steps = 0;
-  while (!reader.at_full_accuracy()) {
-    reader.refine();
-    ASSERT_NE(reader.last_status(), cc::RefineStatus::kDegraded);
-    if (reader.last_status() == cc::RefineStatus::kRetried) ++retried_steps;
+  while (!reader->at_full_accuracy()) {
+    reader->refine();
+    ASSERT_NE(reader->last_status(), cc::RefineStatus::kDegraded);
+    if (reader->last_status() == cc::RefineStatus::kRetried) ++retried_steps;
   }
   EXPECT_GT(retried_steps, 0u);  // seed 17 faults at least one step
-  EXPECT_EQ(reader.cumulative().retries,
+  EXPECT_EQ(reader->cumulative().retries,
             inj->counters().read_errors + inj->counters().corruptions);
 }
 
@@ -558,10 +557,9 @@ TEST(CacheFaults, InjectedReadErrorsAreNeverCached) {
   config.levels = 3;
   config.codec = "zfp";
   config.error_bound = 1e-5;
-  cc::refactor_and_write(tiers, "cf.bp", ds.variable, ds.mesh, ds.values,
-                         config);
+  ct::write_field(tiers, "cf.bp", ds.variable, ds.mesh, ds.values, config);
 
-  cc::ProgressiveReader reader(tiers, "cf.bp", ds.variable);
+  const auto reader = ct::open_reader(tiers, "cf.bp", ds.variable);
   const std::size_t occupancy_after_open = cache->occupancy_bytes();
 
   // Kill the slow tier holding every delta: the refine degrades, and the
@@ -572,8 +570,8 @@ TEST(CacheFaults, InjectedReadErrorsAreNeverCached) {
   inj->set_profile(1, p);
   tiers.attach_fault_injector(inj);
 
-  reader.refine();  // must not throw
-  EXPECT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
+  reader->refine();  // must not throw
+  EXPECT_EQ(reader->last_status(), cc::RefineStatus::kDegraded);
   EXPECT_EQ(cache->occupancy_bytes(), occupancy_after_open);
   canopus::adios::BpReader meta(tiers, "cf.bp");
   for (const auto& b : meta.inq_var(ds.variable).blocks) {
@@ -588,10 +586,10 @@ TEST(CacheFaults, InjectedReadErrorsAreNeverCached) {
   // Tier recovers: the degraded reader finishes within the accuracy bound,
   // and only now do the (verified) delta blobs enter the cache.
   tiers.attach_fault_injector(nullptr);
-  reader.refine_to(0);
-  EXPECT_EQ(reader.last_status(), cc::RefineStatus::kOk);
-  EXPECT_TRUE(reader.at_full_accuracy());
-  EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
+  reader->refine_to(0);
+  EXPECT_EQ(reader->last_status(), cc::RefineStatus::kOk);
+  EXPECT_TRUE(reader->at_full_accuracy());
+  EXPECT_LE(cu::max_abs_error(ds.values, reader->values()),
             3.0 * config.error_bound);
   EXPECT_GT(cache->occupancy_bytes(), occupancy_after_open);
 }
@@ -613,13 +611,12 @@ TEST(CacheFaults, CorruptBlobsNeverPoisonLaterReaders) {
   config.levels = 3;
   config.codec = "zfp";
   config.error_bound = 1e-5;
-  cc::refactor_and_write(tiers, "cp.bp", ds.variable, ds.mesh, ds.values,
-                         config);
+  ct::write_field(tiers, "cp.bp", ds.variable, ds.mesh, ds.values, config);
 
   // Phase 1: every slow-tier read returns flipped bits. The reader degrades
   // (IntegrityError after retries), and the corrupt bytes stay out of the
   // cache.
-  cc::ProgressiveReader first(tiers, "cp.bp", ds.variable);
+  const auto first = ct::open_reader(tiers, "cp.bp", ds.variable);
   const std::size_t occupancy_clean = cache->occupancy_bytes();
   auto corruptor = std::make_shared<cs::FaultInjector>(7);
   cs::FaultProfile flip;
@@ -627,17 +624,17 @@ TEST(CacheFaults, CorruptBlobsNeverPoisonLaterReaders) {
   corruptor->set_profile(1, flip);
   tiers.attach_fault_injector(corruptor);
 
-  first.refine();
-  EXPECT_EQ(first.last_status(), cc::RefineStatus::kDegraded);
+  first->refine();
+  EXPECT_EQ(first->last_status(), cc::RefineStatus::kDegraded);
   EXPECT_GT(corruptor->counters().corruptions, 0u);
   EXPECT_EQ(cache->occupancy_bytes(), occupancy_clean);
 
   // Phase 2: tier heals; the same reader completes and fills the cache with
   // verified bytes.
   tiers.attach_fault_injector(nullptr);
-  first.refine_to(0);
-  ASSERT_TRUE(first.at_full_accuracy());
-  ASSERT_LE(cu::max_abs_error(ds.values, first.values()),
+  first->refine_to(0);
+  ASSERT_TRUE(first->at_full_accuracy());
+  ASSERT_LE(cu::max_abs_error(ds.values, first->values()),
             3.0 * config.error_bound);
 
   // Phase 3: bits flip again — on EVERY tier. A fresh reader must still
@@ -651,14 +648,14 @@ TEST(CacheFaults, CorruptBlobsNeverPoisonLaterReaders) {
   corrupt_all->set_profile(1, flip_all);
   tiers.attach_fault_injector(corrupt_all);
 
-  cc::ProgressiveReader second(tiers, "cp.bp", ds.variable);
-  second.refine_to(0);
-  EXPECT_EQ(second.last_status(), cc::RefineStatus::kOk);
-  EXPECT_TRUE(second.at_full_accuracy());
-  EXPECT_EQ(second.cumulative().corruptions_detected, 0u);
+  const auto second = ct::open_reader(tiers, "cp.bp", ds.variable);
+  second->refine_to(0);
+  EXPECT_EQ(second->last_status(), cc::RefineStatus::kOk);
+  EXPECT_TRUE(second->at_full_accuracy());
+  EXPECT_EQ(second->cumulative().corruptions_detected, 0u);
   EXPECT_EQ(corrupt_all->counters().corruptions, 0u)
       << "a cached read still reached the corrupting tiers";
-  EXPECT_LE(cu::max_abs_error(ds.values, second.values()),
+  EXPECT_LE(cu::max_abs_error(ds.values, second->values()),
             3.0 * config.error_bound);
   // And the cached-read accounting says so: zero simulated I/O for deltas.
   EXPECT_GT(cache->stats().hits, 0u);
@@ -729,8 +726,7 @@ TEST(ReaderDegradation, AsyncSweepSurvivesFaultInjection) {
     config.codec = "zfp";
     config.error_bound = 1e-5;
     config.delta_chunks = 8;
-    cc::refactor_and_write(tiers, "sweep.bp", ds.variable, ds.mesh, ds.values,
-                           config);
+    ct::write_field(tiers, "sweep.bp", ds.variable, ds.mesh, ds.values, config);
 
     auto inj = std::make_shared<cs::FaultInjector>(seed);
     cs::FaultProfile p;
@@ -742,20 +738,20 @@ TEST(ReaderDegradation, AsyncSweepSurvivesFaultInjection) {
     retry.max_attempts = 8;
     tiers.set_retry_policy(retry);
 
-    cc::ReaderOptions opts;
+    canopus::Options opts;
     opts.parallel.threads = 4;
     opts.io.depth = 4;
     opts.io.batch = 2;
-    cc::ProgressiveReader reader(tiers, "sweep.bp", ds.variable, nullptr,
-                                 opts);
-    ASSERT_NO_THROW(reader.refine_to(0));
-    if (reader.at_full_accuracy()) {
-      EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
+    const auto reader = ct::open_reader(tiers, "sweep.bp", ds.variable, nullptr,
+                                        opts);
+    ASSERT_NO_THROW(reader->refine_to(0));
+    if (reader->at_full_accuracy()) {
+      EXPECT_LE(cu::max_abs_error(ds.values, reader->values()),
                 5.0 * config.error_bound);
     } else {
       // Degraded, never thrown: the reader holds its last good level.
-      EXPECT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
-      EXPECT_GT(reader.cumulative().degraded_steps, 0u);
+      EXPECT_EQ(reader->last_status(), cc::RefineStatus::kDegraded);
+      EXPECT_GT(reader->cumulative().degraded_steps, 0u);
     }
     // The reader's fault ledger never undercounts: every injected read error
     // and corruption was either retried or ended a degraded step.
@@ -774,15 +770,15 @@ TEST(ReaderDegradation, AsyncReaderDegradesAndRecovers) {
   config.codec = "zfp";
   config.error_bound = 1e-5;
   config.delta_chunks = 8;
-  cc::refactor_and_write(tiers, "deg2.bp", ds.variable, ds.mesh, ds.values,
-                         config);
+  ct::write_field(tiers, "deg2.bp", ds.variable, ds.mesh, ds.values, config);
 
-  cc::ReaderOptions opts;
+  canopus::Options opts;
   opts.parallel.threads = 4;
   opts.parallel.read_ahead = false;
   opts.io.depth = 4;
-  cc::ProgressiveReader reader(tiers, "deg2.bp", ds.variable, nullptr, opts);
-  const auto base_values = reader.values();
+  const auto reader = ct::open_reader(tiers, "deg2.bp", ds.variable, nullptr,
+                                      opts);
+  const auto base_values = reader->values();
 
   auto inj = std::make_shared<cs::FaultInjector>(2);
   cs::FaultProfile p;
@@ -790,14 +786,14 @@ TEST(ReaderDegradation, AsyncReaderDegradesAndRecovers) {
   inj->set_profile(1, p);
   tiers.attach_fault_injector(inj);
 
-  reader.refine();  // must NOT throw
-  EXPECT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
-  EXPECT_EQ(reader.values(), base_values);
+  reader->refine();  // must NOT throw
+  EXPECT_EQ(reader->last_status(), cc::RefineStatus::kDegraded);
+  EXPECT_EQ(reader->values(), base_values);
 
   tiers.attach_fault_injector(nullptr);
-  reader.refine_to(0);
-  EXPECT_EQ(reader.last_status(), cc::RefineStatus::kOk);
-  EXPECT_TRUE(reader.at_full_accuracy());
-  EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
+  reader->refine_to(0);
+  EXPECT_EQ(reader->last_status(), cc::RefineStatus::kOk);
+  EXPECT_TRUE(reader->at_full_accuracy());
+  EXPECT_LE(cu::max_abs_error(ds.values, reader->values()),
             3.0 * config.error_bound);
 }

@@ -16,6 +16,7 @@
 #include "sim/datasets.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/stats.hpp"
+#include "test_support.hpp"
 
 namespace cc = canopus::core;
 namespace cm = canopus::mesh;
@@ -23,6 +24,7 @@ namespace cs = canopus::storage;
 namespace cu = canopus::util;
 namespace si = canopus::sim;
 namespace an = canopus::analytics;
+namespace ct = canopus::test;
 
 namespace {
 
@@ -62,20 +64,20 @@ TEST_P(FullPipeline, WriteReadRestoreWithinBudget) {
   config.levels = levels;
   config.codec = codec;
   config.error_bound = 1e-5;
-  const auto report = cc::refactor_and_write(tiers, "it.bp", ds.variable,
-                                             ds.mesh, ds.values, config);
+  const auto report = ct::write_field(tiers, "it.bp", ds.variable, ds.mesh,
+                                      ds.values, config);
   EXPECT_EQ(report.products.size(), levels);
   EXPECT_EQ(report.level_vertices.size(), levels);
 
-  cc::ProgressiveReader reader(tiers, "it.bp", ds.variable);
-  EXPECT_EQ(reader.level_count(), levels);
-  while (!reader.at_full_accuracy()) {
-    EXPECT_TRUE(cm::validate(reader.current_mesh()).ok);
-    reader.refine();
+  const auto reader = ct::open_reader(tiers, "it.bp", ds.variable);
+  EXPECT_EQ(reader->level_count(), levels);
+  while (!reader->at_full_accuracy()) {
+    EXPECT_TRUE(cm::validate(reader->current_mesh()).ok);
+    reader->refine();
   }
-  ASSERT_EQ(reader.values().size(), ds.values.size());
+  ASSERT_EQ(reader->values().size(), ds.values.size());
   const double budget = static_cast<double>(levels) * config.error_bound + 1e-12;
-  EXPECT_LE(cu::max_abs_error(ds.values, reader.values()), budget);
+  EXPECT_LE(cu::max_abs_error(ds.values, reader->values()), budget);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -105,14 +107,13 @@ TEST(Integration, FileBackedTiersEndToEnd) {
   config.levels = 3;
   config.codec = "zfp";
   config.error_bound = 1e-6;
-  cc::refactor_and_write(tiers, "file.bp", ds.variable, ds.mesh, ds.values,
-                         config);
+  ct::write_field(tiers, "file.bp", ds.variable, ds.mesh, ds.values, config);
   // Deltas must actually be on disk.
   EXPECT_FALSE(fs::is_empty(root / "lustre"));
 
-  cc::ProgressiveReader reader(tiers, "file.bp", ds.variable);
-  reader.refine_to(0);
-  EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
+  const auto reader = ct::open_reader(tiers, "file.bp", ds.variable);
+  reader->refine_to(0);
+  EXPECT_LE(cu::max_abs_error(ds.values, reader->values()),
             3.0 * config.error_bound);
   fs::remove_all(root);
 }
@@ -124,16 +125,14 @@ TEST(Integration, TwoVariablesInOneContainerViaSeparatePaths) {
   const auto cfd = small_dataset("cfd");
   cc::RefactorConfig config;
   config.levels = 2;
-  cc::refactor_and_write(tiers, "a.bp", xgc.variable, xgc.mesh, xgc.values,
-                         config);
-  cc::refactor_and_write(tiers, "b.bp", cfd.variable, cfd.mesh, cfd.values,
-                         config);
-  cc::ProgressiveReader ra(tiers, "a.bp", xgc.variable);
-  cc::ProgressiveReader rb(tiers, "b.bp", cfd.variable);
-  ra.refine_to(0);
-  rb.refine_to(0);
-  EXPECT_EQ(ra.values().size(), xgc.values.size());
-  EXPECT_EQ(rb.values().size(), cfd.values.size());
+  ct::write_field(tiers, "a.bp", xgc.variable, xgc.mesh, xgc.values, config);
+  ct::write_field(tiers, "b.bp", cfd.variable, cfd.mesh, cfd.values, config);
+  const auto ra = ct::open_reader(tiers, "a.bp", xgc.variable);
+  const auto rb = ct::open_reader(tiers, "b.bp", cfd.variable);
+  ra->refine_to(0);
+  rb->refine_to(0);
+  EXPECT_EQ(ra->values().size(), xgc.values.size());
+  EXPECT_EQ(rb->values().size(), cfd.values.size());
 }
 
 TEST(Integration, BlobAnalysisDegradesGracefullyWithDecimation) {
@@ -149,7 +148,7 @@ TEST(Integration, BlobAnalysisDegradesGracefullyWithDecimation) {
   config.levels = 5;
   config.codec = "zfp";
   config.error_bound = 1e-4;
-  cc::refactor_and_write(tiers, "blob.bp", "dpot", ds.mesh, ds.values, config);
+  ct::write_field(tiers, "blob.bp", "dpot", ds.mesh, ds.values, config);
 
   const auto bounds = ds.mesh.bounds();
   const double hi = *std::max_element(ds.values.begin(), ds.values.end());
@@ -163,12 +162,12 @@ TEST(Integration, BlobAnalysisDegradesGracefullyWithDecimation) {
     return an::detect_blobs(an::to_gray8(raster, 0.0, hi), 240, 240, params);
   };
 
-  cc::ProgressiveReader reader(tiers, "blob.bp", "dpot");
+  const auto reader = ct::open_reader(tiers, "blob.bp", "dpot");
   std::vector<std::vector<an::Blob>> per_level;
   for (;;) {
-    per_level.push_back(blobs_at(reader.current_mesh(), reader.values()));
-    if (reader.at_full_accuracy()) break;
-    reader.refine();
+    per_level.push_back(blobs_at(reader->current_mesh(), reader->values()));
+    if (reader->at_full_accuracy()) break;
+    reader->refine();
   }
   const auto& reference = per_level.back();  // L0
   ASSERT_GE(reference.size(), 3u);
@@ -193,16 +192,16 @@ TEST(Integration, ProportionalTierAllocationBypassWorks) {
   config.levels = 4;
   config.codec = "zfp";
   config.error_bound = 1e-5;
-  const auto report = cc::refactor_and_write(tiers, "p.bp", ds.variable,
-                                             ds.mesh, ds.values, config);
+  const auto report = ct::write_field(tiers, "p.bp", ds.variable, ds.mesh,
+                                      ds.values, config);
   bool spilled = false;
   for (const auto& p : report.products) {
     if (p.tier == 1) spilled = true;
   }
   EXPECT_TRUE(spilled);
-  cc::ProgressiveReader reader(tiers, "p.bp", ds.variable);
-  reader.refine_to(0);
-  EXPECT_EQ(reader.values().size(), ds.values.size());
+  const auto reader = ct::open_reader(tiers, "p.bp", ds.variable);
+  reader->refine_to(0);
+  EXPECT_EQ(reader->values().size(), ds.values.size());
 }
 
 TEST(Integration, DegradedPipelineStillRefinesUnderSlowTierFaults) {
@@ -217,8 +216,8 @@ TEST(Integration, DegradedPipelineStillRefinesUnderSlowTierFaults) {
   config.levels = 4;
   config.codec = "zfp";
   config.error_bound = 1e-5;
-  cc::refactor_and_write(tiers, "degraded.bp", ds.variable, ds.mesh,
-                         ds.values, config);
+  ct::write_field(tiers, "degraded.bp", ds.variable, ds.mesh, ds.values,
+                  config);
 
   auto injector = std::make_shared<cs::FaultInjector>(42);
   cs::FaultProfile profile;
@@ -231,18 +230,18 @@ TEST(Integration, DegradedPipelineStillRefinesUnderSlowTierFaults) {
 
   // No geometry cache: meshes and mappings are fetched from the faulted
   // tier on the per-step path, exercising retries on every block kind.
-  cc::ProgressiveReader reader(tiers, "degraded.bp", ds.variable);
-  const auto base_level = reader.current_level();
-  while (!reader.at_full_accuracy() &&
-         reader.last_status() != cc::RefineStatus::kDegraded) {
-    reader.refine();  // must never throw, whatever the tier does
+  const auto reader = ct::open_reader(tiers, "degraded.bp", ds.variable);
+  const auto base_level = reader->current_level();
+  while (!reader->at_full_accuracy() &&
+         reader->last_status() != cc::RefineStatus::kDegraded) {
+    reader->refine();  // must never throw, whatever the tier does
   }
-  EXPECT_LT(reader.current_level(), base_level);  // >= base+1 accuracy
-  EXPECT_GT(reader.cumulative().retries, 0u);     // the faults actually fired
-  EXPECT_EQ(reader.cumulative().retries, injector->counters().read_errors +
+  EXPECT_LT(reader->current_level(), base_level);  // >= base+1 accuracy
+  EXPECT_GT(reader->cumulative().retries, 0u);     // the faults actually fired
+  EXPECT_EQ(reader->cumulative().retries, injector->counters().read_errors +
                                              injector->counters().corruptions);
-  if (reader.at_full_accuracy()) {
-    EXPECT_LE(cu::max_abs_error(ds.values, reader.values()),
+  if (reader->at_full_accuracy()) {
+    EXPECT_LE(cu::max_abs_error(ds.values, reader->values()),
               4.0 * config.error_bound);
   }
 }
@@ -268,13 +267,13 @@ TEST(Integration, CampaignPlusGeometryCachePlusAnalysis) {
   cc::write_campaign(tiers, "camp.bp", "dpot", ds.mesh, steps, config);
   const auto geometry = cc::GeometryCache::load(tiers, "camp.bp", "dpot");
   for (int t = 0; t < 3; ++t) {
-    cc::ProgressiveReader reader(tiers, "camp.bp", cc::timestep_var("dpot", t),
-                                 &geometry);
+    const auto reader = ct::open_reader(tiers, "camp.bp",
+                                        cc::timestep_var("dpot", t), &geometry);
     // Base-level analysis is enough to see the amplitude trend across steps.
     cu::RunningStats st;
-    st.add(reader.values());
+    st.add(reader->values());
     EXPECT_GT(st.max(), 0.0) << "t=" << t;
-    reader.refine_to(0);
-    EXPECT_LE(cu::max_abs_error(steps[t], reader.values()), 3e-6) << "t=" << t;
+    reader->refine_to(0);
+    EXPECT_LE(cu::max_abs_error(steps[t], reader->values()), 3e-6) << "t=" << t;
   }
 }

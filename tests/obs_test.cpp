@@ -1,7 +1,8 @@
 // Tests for the observability layer (obs/) and the canopus::Pipeline facade:
 // histogram bucket math, concurrent metric updates, span nesting and thread
 // attribution, Chrome trace_event JSON well-formedness, Status semantics,
-// request validation, and the bitwise facade-vs-legacy round-trip identity.
+// request validation, and the bitwise cascade-vs-field write and open-vs-read
+// round-trip identity.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,7 +31,6 @@ namespace cu = canopus::util;
 namespace obs = canopus::obs;
 
 using canopus::Pipeline;
-using canopus::PipelineOptions;
 using canopus::ReadRequest;
 using canopus::ReadResult;
 using canopus::Status;
@@ -450,7 +451,10 @@ TEST(Pipeline, RejectsMalformedRequests) {
   EXPECT_EQ(pipeline.read(r, &result).code, StatusCode::kNotFound);
 }
 
-TEST(Pipeline, RoundTripMatchesLegacyApiBitwise) {
+// The facade's two write inputs and its two read doors share one engine each:
+// writing a prebuilt cascade stores the same bytes as writing (mesh,
+// values), and open() + refine_to(0) restores the field read() returns.
+TEST(Pipeline, CascadeWriteAndOpenMatchRoundTripBitwise) {
   const auto mesh = cm::make_annulus_mesh(12, 80, 0.5, 1.0, 0.1, 7);
   const auto values = smooth_field(mesh);
   cc::RefactorConfig config;
@@ -459,14 +463,7 @@ TEST(Pipeline, RoundTripMatchesLegacyApiBitwise) {
   config.error_bound = 1e-6;
   config.delta_chunks = 4;
 
-  // Legacy free-function path.
-  auto legacy_tiers = two_tiers();
-  const auto legacy_report = cc::refactor_and_write(legacy_tiers, "d.bp", "v",
-                                                    mesh, values, config);
-  cc::ProgressiveReader legacy_reader(legacy_tiers, "d.bp", "v");
-  legacy_reader.refine_to(0);
-
-  // Facade path.
+  // (mesh, values) round trip.
   auto tiers = two_tiers();
   Pipeline pipeline(tiers);
   WriteRequest wreq;
@@ -484,29 +481,45 @@ TEST(Pipeline, RoundTripMatchesLegacyApiBitwise) {
   ReadResult rres;
   ASSERT_TRUE(pipeline.read(rreq, &rres).ok());
 
+  // Prebuilt-cascade write, step-wise read.
+  const auto cascade =
+      cm::build_cascade(mesh, values, cc::cascade_options(config));
+  auto cascade_tiers = two_tiers();
+  Pipeline cascade_pipeline(cascade_tiers);
+  WriteRequest creq;
+  creq.path = "d.bp";
+  creq.var = "v";
+  creq.cascade = &cascade;
+  creq.config = config;
+  WriteResult cres;
+  ASSERT_TRUE(cascade_pipeline.write(creq, &cres).ok());
+  std::unique_ptr<cc::ProgressiveReader> reader;
+  ASSERT_TRUE(cascade_pipeline.open(rreq, &reader).ok());
+  reader->refine_to(0);
+
   // Same products, same placement.
-  ASSERT_EQ(wres.report.products.size(), legacy_report.products.size());
+  ASSERT_EQ(wres.report.products.size(), cres.report.products.size());
   for (std::size_t i = 0; i < wres.report.products.size(); ++i) {
-    EXPECT_EQ(wres.report.products[i].name, legacy_report.products[i].name);
+    EXPECT_EQ(wres.report.products[i].name, cres.report.products[i].name);
     EXPECT_EQ(wres.report.products[i].stored_bytes,
-              legacy_report.products[i].stored_bytes);
-    EXPECT_EQ(wres.report.products[i].tier, legacy_report.products[i].tier);
+              cres.report.products[i].stored_bytes);
+    EXPECT_EQ(wres.report.products[i].tier, cres.report.products[i].tier);
   }
   // Same bytes in the container, object by object.
-  const auto legacy_objects = stored_objects(legacy_tiers, "d.bp", "v");
-  const auto facade_objects = stored_objects(tiers, "d.bp", "v");
-  ASSERT_EQ(facade_objects.size(), legacy_objects.size());
-  ASSERT_GT(facade_objects.size(), 0u);
-  for (const auto& [key, bytes] : legacy_objects) {
-    const auto it = facade_objects.find(key);
-    ASSERT_NE(it, facade_objects.end()) << key;
+  const auto field_objects = stored_objects(tiers, "d.bp", "v");
+  const auto cascade_objects = stored_objects(cascade_tiers, "d.bp", "v");
+  ASSERT_EQ(cascade_objects.size(), field_objects.size());
+  ASSERT_GT(cascade_objects.size(), 0u);
+  for (const auto& [key, bytes] : field_objects) {
+    const auto it = cascade_objects.find(key);
+    ASSERT_NE(it, cascade_objects.end()) << key;
     EXPECT_EQ(bytes, it->second) << key;
   }
   // Same restored field, bitwise.
   EXPECT_EQ(rres.level, 0u);
-  ASSERT_EQ(rres.values.size(), legacy_reader.values().size());
+  ASSERT_EQ(rres.values.size(), reader->values().size());
   for (std::size_t i = 0; i < rres.values.size(); ++i) {
-    EXPECT_EQ(rres.values[i], legacy_reader.values()[i]) << "vertex " << i;
+    EXPECT_EQ(rres.values[i], reader->values()[i]) << "vertex " << i;
   }
 }
 
@@ -551,7 +564,8 @@ TEST(Pipeline, ConfigObservabilityBlockInstallsOptions) {
   EXPECT_EQ(config.observability->histogram_buckets, 16u);
   EXPECT_TRUE(config.observability->trace_path.empty());
 
-  auto pipeline = Pipeline::from_config(config);
+  std::unique_ptr<Pipeline> pipeline;
+  ASSERT_TRUE(Pipeline::load(config, &pipeline).ok());
   EXPECT_TRUE(obs::enabled());
   EXPECT_EQ(obs::MetricsRegistry::global().default_histogram_buckets(), 16u);
   obs::set_enabled(false);

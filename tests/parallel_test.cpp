@@ -30,12 +30,14 @@
 #include "tiering/tier_advisor.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
+#include "test_support.hpp"
 
 namespace cc = canopus::core;
 namespace cm = canopus::mesh;
 namespace cs = canopus::storage;
 namespace ca = canopus::adios;
 namespace cu = canopus::util;
+namespace ct = canopus::test;
 
 namespace {
 
@@ -204,14 +206,20 @@ TEST(ThreadPool, OrderedReduceMapExceptionSurfacesAtItsIndex) {
 
 namespace {
 
-cc::RefactorConfig parallel_config(std::size_t threads) {
+cc::RefactorConfig parallel_config() {
   cc::RefactorConfig config;
   config.levels = 3;
   config.codec = "zfp";
   config.error_bound = 1e-6;
   config.delta_chunks = 4;
-  config.parallel.threads = threads;
   return config;
+}
+
+/// Pipeline options pinning the worker count (0 = the global pool).
+canopus::Options threads_options(std::size_t threads) {
+  canopus::Options options;
+  options.parallel.threads = threads;
+  return options;
 }
 
 /// Every stored object of `var`, keyed by its container index entry, read
@@ -237,12 +245,12 @@ TEST(ParallelDeterminism, RefactorProductsBitwiseIdentical1VsN) {
 
   auto tiers1 = three_tiers();
   const auto report1 =
-      cc::refactor_and_write(tiers1, "d.bp", "v", mesh, values,
-                             parallel_config(1));
+      ct::write_field(tiers1, "d.bp", "v", mesh, values, parallel_config(),
+                      threads_options(1));
   auto tiersN = three_tiers();
   const auto reportN =
-      cc::refactor_and_write(tiersN, "d.bp", "v", mesh, values,
-                             parallel_config(4));
+      ct::write_field(tiersN, "d.bp", "v", mesh, values, parallel_config(),
+                      threads_options(4));
 
   // Same products, same sizes, same placement — chunk by chunk.
   ASSERT_EQ(report1.products.size(), reportN.products.size());
@@ -271,24 +279,24 @@ TEST(ParallelDeterminism, RefactorProductsBitwiseIdentical1VsN) {
 TEST(ParallelDeterminism, RestoredFieldsBitwiseIdentical1VsN) {
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   auto tiers = three_tiers();
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         parallel_config(4));
+  ct::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                  parallel_config(), threads_options(4));
 
-  cc::ReaderOptions serial;
+  canopus::Options serial;
   serial.parallel.threads = 1;
   serial.parallel.read_ahead = false;
-  cc::ProgressiveReader reader1(tiers, "d.bp", "v", nullptr, serial);
-  reader1.refine_to(0);
+  const auto reader1 = ct::open_reader(tiers, "d.bp", "v", nullptr, serial);
+  reader1->refine_to(0);
 
-  cc::ReaderOptions parallel;
+  canopus::Options parallel;
   parallel.parallel.threads = 4;
-  cc::ProgressiveReader readerN(tiers, "d.bp", "v", nullptr, parallel);
-  readerN.refine_to(0);
+  const auto readerN = ct::open_reader(tiers, "d.bp", "v", nullptr, parallel);
+  readerN->refine_to(0);
 
-  ASSERT_EQ(reader1.values().size(), readerN.values().size());
-  for (std::size_t i = 0; i < reader1.values().size(); ++i) {
+  ASSERT_EQ(reader1->values().size(), readerN->values().size());
+  for (std::size_t i = 0; i < reader1->values().size(); ++i) {
     // Bitwise: the parallel restore must not even reassociate an addition.
-    EXPECT_EQ(reader1.values()[i], readerN.values()[i]) << "vertex " << i;
+    EXPECT_EQ(reader1->values()[i], readerN->values()[i]) << "vertex " << i;
   }
 }
 
@@ -302,11 +310,11 @@ TEST(ParallelDeterminism, RestoredFieldsBitwiseIdenticalWithTracingOn) {
 
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   auto tiers1 = three_tiers();
-  cc::refactor_and_write(tiers1, "d.bp", "v", mesh, smooth_field(mesh),
-                         parallel_config(1));
+  ct::write_field(tiers1, "d.bp", "v", mesh, smooth_field(mesh),
+                  parallel_config(), threads_options(1));
   auto tiersN = three_tiers();
-  cc::refactor_and_write(tiersN, "d.bp", "v", mesh, smooth_field(mesh),
-                         parallel_config(4));
+  ct::write_field(tiersN, "d.bp", "v", mesh, smooth_field(mesh),
+                  parallel_config(), threads_options(4));
   const auto objects1 = stored_objects(tiers1, "d.bp", "v");
   const auto objectsN = stored_objects(tiersN, "d.bp", "v");
   ASSERT_EQ(objects1.size(), objectsN.size());
@@ -316,18 +324,18 @@ TEST(ParallelDeterminism, RestoredFieldsBitwiseIdenticalWithTracingOn) {
     EXPECT_EQ(bytes, it->second) << key;
   }
 
-  cc::ReaderOptions serial;
+  canopus::Options serial;
   serial.parallel.threads = 1;
   serial.parallel.read_ahead = false;
-  cc::ProgressiveReader reader1(tiers1, "d.bp", "v", nullptr, serial);
-  reader1.refine_to(0);
-  cc::ReaderOptions parallel;
+  const auto reader1 = ct::open_reader(tiers1, "d.bp", "v", nullptr, serial);
+  reader1->refine_to(0);
+  canopus::Options parallel;
   parallel.parallel.threads = 4;
-  cc::ProgressiveReader readerN(tiersN, "d.bp", "v", nullptr, parallel);
-  readerN.refine_to(0);
-  ASSERT_EQ(reader1.values().size(), readerN.values().size());
-  for (std::size_t i = 0; i < reader1.values().size(); ++i) {
-    EXPECT_EQ(reader1.values()[i], readerN.values()[i]) << "vertex " << i;
+  const auto readerN = ct::open_reader(tiersN, "d.bp", "v", nullptr, parallel);
+  readerN->refine_to(0);
+  ASSERT_EQ(reader1->values().size(), readerN->values().size());
+  for (std::size_t i = 0; i < reader1->values().size(); ++i) {
+    EXPECT_EQ(reader1->values()[i], readerN->values()[i]) << "vertex " << i;
   }
 
   // And the run actually recorded: the stages left spans behind.
@@ -340,28 +348,28 @@ TEST(ParallelDeterminism, ReadAheadKeepsSimulatedClock) {
   // retrieval clock must not notice the read-ahead at all.
   const auto mesh = cm::make_annulus_mesh(14, 90, 0.5, 1.0, 0.1, 5);
   auto tiers = three_tiers();
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         parallel_config(0));
+  ct::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                  parallel_config());
   double io_serial = 0.0;
   std::size_t bytes_serial = 0;
   {
     auto fresh = three_tiers();
-    cc::refactor_and_write(fresh, "d.bp", "v", mesh, smooth_field(mesh),
-                           parallel_config(0));
-    cc::ReaderOptions serial;
+    ct::write_field(fresh, "d.bp", "v", mesh, smooth_field(mesh),
+                    parallel_config());
+    canopus::Options serial;
     serial.parallel.threads = 1;
     serial.parallel.read_ahead = false;
-    cc::ProgressiveReader reader(fresh, "d.bp", "v", nullptr, serial);
-    reader.refine_to(0);
-    io_serial = reader.cumulative().io_seconds;
-    bytes_serial = reader.cumulative().bytes_read;
+    const auto reader = ct::open_reader(fresh, "d.bp", "v", nullptr, serial);
+    reader->refine_to(0);
+    io_serial = reader->cumulative().io_seconds;
+    bytes_serial = reader->cumulative().bytes_read;
   }
-  cc::ReaderOptions ahead;  // read_ahead defaults on
+  canopus::Options ahead;  // read_ahead defaults on
   ahead.parallel.threads = 4;
-  cc::ProgressiveReader reader(tiers, "d.bp", "v", nullptr, ahead);
-  reader.refine_to(0);
-  EXPECT_DOUBLE_EQ(reader.cumulative().io_seconds, io_serial);
-  EXPECT_EQ(reader.cumulative().bytes_read, bytes_serial);
+  const auto reader = ct::open_reader(tiers, "d.bp", "v", nullptr, ahead);
+  reader->refine_to(0);
+  EXPECT_DOUBLE_EQ(reader->cumulative().io_seconds, io_serial);
+  EXPECT_EQ(reader->cumulative().bytes_read, bytes_serial);
 }
 
 TEST(ParallelDeterminism, GeometryCachePathMatchesOnDemandPath) {
@@ -369,20 +377,20 @@ TEST(ParallelDeterminism, GeometryCachePathMatchesOnDemandPath) {
   // as the read-on-demand path.
   const auto mesh = cm::make_rect_mesh(40, 40, 1.0, 1.0, 0.1, 13);
   auto tiers = three_tiers();
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         parallel_config(0));
+  ct::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                  parallel_config());
   const auto cache = cc::GeometryCache::load(tiers, "d.bp", "v");
 
-  cc::ProgressiveReader plain(tiers, "d.bp", "v");
-  plain.refine_to(0);
-  cc::ReaderOptions opts;
+  const auto plain = ct::open_reader(tiers, "d.bp", "v");
+  plain->refine_to(0);
+  canopus::Options opts;
   opts.parallel.threads = 4;
-  cc::ProgressiveReader cached(tiers, "d.bp", "v", &cache, opts);
-  cached.refine_to(0);
+  const auto cached = ct::open_reader(tiers, "d.bp", "v", &cache, opts);
+  cached->refine_to(0);
 
-  ASSERT_EQ(plain.values().size(), cached.values().size());
-  for (std::size_t i = 0; i < plain.values().size(); ++i) {
-    EXPECT_EQ(plain.values()[i], cached.values()[i]) << "vertex " << i;
+  ASSERT_EQ(plain->values().size(), cached->values().size());
+  for (std::size_t i = 0; i < plain->values().size(); ++i) {
+    EXPECT_EQ(plain->values()[i], cached->values()[i]) << "vertex " << i;
   }
 }
 
@@ -396,18 +404,18 @@ TEST(ParallelDeterminism, GeometryCachePathMatchesOnDemandPath) {
 TEST(ParallelDeterminism, ConcurrentSessionsBitwiseIdenticalCacheOnOff) {
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   auto tiers = three_tiers();
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         parallel_config(4));
+  ct::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                  parallel_config(), threads_options(4));
 
-  cc::ReaderOptions serial;
+  canopus::Options serial;
   serial.parallel.threads = 1;
   serial.parallel.read_ahead = false;
-  cc::ProgressiveReader reference(tiers, "d.bp", "v", nullptr, serial);
-  reference.refine_to(0);
+  const auto reference = ct::open_reader(tiers, "d.bp", "v", nullptr, serial);
+  reference->refine_to(0);
 
   // Cache-off first: attaching the cache (second pass) is sticky on `tiers`.
   for (const bool cached : {false, true}) {
-    canopus::PipelineOptions options;
+    canopus::Options options;
     options.parallel.threads = 4;
     if (cached) {
       canopus::cache::CacheConfig cache_config;
@@ -440,9 +448,9 @@ TEST(ParallelDeterminism, ConcurrentSessionsBitwiseIdenticalCacheOnOff) {
       ASSERT_TRUE(statuses[s].ok())
           << "session " << s << " (cache " << (cached ? "on" : "off")
           << "): " << statuses[s].to_string();
-      ASSERT_EQ(fields[s].size(), reference.values().size());
+      ASSERT_EQ(fields[s].size(), reference->values().size());
       for (std::size_t i = 0; i < fields[s].size(); ++i) {
-        ASSERT_EQ(fields[s][i], reference.values()[i])
+        ASSERT_EQ(fields[s][i], reference->values()[i])
             << "session " << s << " vertex " << i << " cache "
             << (cached ? "on" : "off");
       }
@@ -468,16 +476,16 @@ TEST(ParallelDeterminism, ConcurrentSessionsBitwiseIdenticalCacheOnOff) {
 TEST(ParallelDeterminism, ScheduledQueryBitwiseMatchesDirectRead) {
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   auto tiers = three_tiers();
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         parallel_config(4));
+  ct::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                  parallel_config(), threads_options(4));
 
-  cc::ReaderOptions serial;
+  canopus::Options serial;
   serial.parallel.threads = 1;
   serial.parallel.read_ahead = false;
-  cc::ProgressiveReader direct(tiers, "d.bp", "v", nullptr, serial);
-  direct.refine_to(0);
+  const auto direct = ct::open_reader(tiers, "d.bp", "v", nullptr, serial);
+  direct->refine_to(0);
 
-  canopus::PipelineOptions options;
+  canopus::Options options;
   options.parallel.threads = 4;
   canopus::serve::ServeConfig serve;
   serve.workers = 2;
@@ -493,9 +501,9 @@ TEST(ParallelDeterminism, ScheduledQueryBitwiseMatchesDirectRead) {
   const canopus::Status status = pipeline.submit_query(request, &result);
   ASSERT_TRUE(status.ok()) << status.to_string();
   ASSERT_EQ(result.achieved_level, 0u);
-  ASSERT_EQ(result.values.size(), direct.values().size());
+  ASSERT_EQ(result.values.size(), direct->values().size());
   for (std::size_t i = 0; i < result.values.size(); ++i) {
-    ASSERT_EQ(result.values[i], direct.values()[i]) << "vertex " << i;
+    ASSERT_EQ(result.values[i], direct->values()[i]) << "vertex " << i;
   }
 }
 
@@ -509,15 +517,16 @@ TEST(ParallelDeterminism, OneNodeVsFourNodeFabricBitwiseIdentical) {
   namespace cf = canopus::fabric;
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   cs::StorageHierarchy staging({cs::tmpfs_spec(256 << 20)});
-  auto config = parallel_config(4);
+  auto config = parallel_config();
   config.delta_chunks = 8;
-  cc::refactor_and_write(staging, "d.bp", "v", mesh, smooth_field(mesh), config);
+  ct::write_field(staging, "d.bp", "v", mesh, smooth_field(mesh), config,
+                  threads_options(4));
 
-  cc::ReaderOptions serial;
+  canopus::Options serial;
   serial.parallel.threads = 1;
   serial.parallel.read_ahead = false;
-  cc::ProgressiveReader reference(staging, "d.bp", "v", nullptr, serial);
-  reference.refine_to(0);
+  const auto reference = ct::open_reader(staging, "d.bp", "v", nullptr, serial);
+  reference->refine_to(0);
 
   for (const std::size_t nodes : {std::size_t{1}, std::size_t{4}}) {
     cf::FabricOptions fo;
@@ -525,14 +534,14 @@ TEST(ParallelDeterminism, OneNodeVsFourNodeFabricBitwiseIdentical) {
     cf::Fabric fabric(fo, {cs::tmpfs_spec(64 << 20), cs::lustre_spec(1 << 30)});
     fabric.import_container(staging, "d.bp");
     for (std::size_t home = 0; home < nodes; ++home) {
-      cc::ReaderOptions opts;
+      canopus::Options opts;
       opts.parallel.threads = 4;
-      cc::ProgressiveReader reader(fabric.node(home), "d.bp", "v", nullptr,
-                                   opts);
-      reader.refine_to(0);
-      ASSERT_EQ(reader.values().size(), reference.values().size());
-      for (std::size_t i = 0; i < reader.values().size(); ++i) {
-        ASSERT_EQ(reader.values()[i], reference.values()[i])
+      const auto reader = ct::open_reader(fabric.node(home), "d.bp", "v",
+                                          nullptr, opts);
+      reader->refine_to(0);
+      ASSERT_EQ(reader->values().size(), reference->values().size());
+      for (std::size_t i = 0; i < reader->values().size(); ++i) {
+        ASSERT_EQ(reader->values()[i], reference->values()[i])
             << "nodes=" << nodes << " home=" << home << " vertex " << i;
       }
     }
@@ -551,9 +560,10 @@ TEST(ParallelDeterminism, SchedulerFabricOnOffBitwiseIdentical) {
   namespace cf = canopus::fabric;
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   cs::StorageHierarchy staging({cs::tmpfs_spec(256 << 20)});
-  auto config = parallel_config(4);
+  auto config = parallel_config();
   config.delta_chunks = 8;
-  cc::refactor_and_write(staging, "d.bp", "v", mesh, smooth_field(mesh), config);
+  ct::write_field(staging, "d.bp", "v", mesh, smooth_field(mesh), config,
+                  threads_options(4));
 
   cf::FabricOptions fo;
   fo.nodes = 4;
@@ -600,8 +610,8 @@ namespace {
 
 /// Refactor config with enough delta chunks per level that the async ring
 /// actually has parallelism to exploit.
-cc::RefactorConfig chunked_config(std::size_t threads) {
-  auto config = parallel_config(threads);
+cc::RefactorConfig chunked_config() {
+  auto config = parallel_config();
   config.delta_chunks = 8;
   return config;
 }
@@ -614,61 +624,61 @@ cc::RefactorConfig chunked_config(std::size_t threads) {
 TEST(ParallelDeterminism, AsyncRingRestoreBitwiseIdenticalToBlocking) {
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   auto tiers = three_tiers();
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         chunked_config(0));
+  ct::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                  chunked_config());
 
-  cc::ReaderOptions blocking;
+  canopus::Options blocking;
   blocking.parallel.threads = 1;
   blocking.parallel.read_ahead = false;
-  cc::ProgressiveReader serial(tiers, "d.bp", "v", nullptr, blocking);
-  serial.refine_to(0);
+  const auto serial = ct::open_reader(tiers, "d.bp", "v", nullptr, blocking);
+  serial->refine_to(0);
 
-  cc::ReaderOptions async_sync;  // depth-8 ring, no prefetch
+  canopus::Options async_sync;  // depth-8 ring, no prefetch
   async_sync.parallel.threads = 4;
   async_sync.parallel.read_ahead = false;
   async_sync.io.depth = 8;
-  cc::ProgressiveReader ring(tiers, "d.bp", "v", nullptr, async_sync);
-  ring.refine_to(0);
+  const auto ring = ct::open_reader(tiers, "d.bp", "v", nullptr, async_sync);
+  ring->refine_to(0);
 
-  cc::ReaderOptions async_ahead;  // ring-backed read-ahead path
+  canopus::Options async_ahead;  // ring-backed read-ahead path
   async_ahead.parallel.threads = 4;
   async_ahead.io.depth = 4;
   async_ahead.io.batch = 2;
-  cc::ProgressiveReader ahead(tiers, "d.bp", "v", nullptr, async_ahead);
-  ahead.refine_to(0);
+  const auto ahead = ct::open_reader(tiers, "d.bp", "v", nullptr, async_ahead);
+  ahead->refine_to(0);
 
-  ASSERT_EQ(serial.values().size(), ring.values().size());
-  ASSERT_EQ(serial.values().size(), ahead.values().size());
-  for (std::size_t i = 0; i < serial.values().size(); ++i) {
-    ASSERT_EQ(serial.values()[i], ring.values()[i]) << "vertex " << i;
-    ASSERT_EQ(serial.values()[i], ahead.values()[i]) << "vertex " << i;
+  ASSERT_EQ(serial->values().size(), ring->values().size());
+  ASSERT_EQ(serial->values().size(), ahead->values().size());
+  for (std::size_t i = 0; i < serial->values().size(); ++i) {
+    ASSERT_EQ(serial->values()[i], ring->values()[i]) << "vertex " << i;
+    ASSERT_EQ(serial->values()[i], ahead->values()[i]) << "vertex " << i;
   }
-  EXPECT_EQ(serial.cumulative().bytes_read, ring.cumulative().bytes_read);
+  EXPECT_EQ(serial->cumulative().bytes_read, ring->cumulative().bytes_read);
 
   // Regional and backfill reads ride the same ring: an ROI step, a full
   // refine that backfills the chunks it skipped, then the rest of the way.
   // Every step restores the blocking reader's bytes, reads the same volume,
   // and moves partially_refined() the same way.
   auto deep_tiers = three_tiers();
-  auto deep_config = chunked_config(0);
+  auto deep_config = chunked_config();
   deep_config.levels = 4;
-  cc::refactor_and_write(deep_tiers, "r.bp", "v", mesh, smooth_field(mesh),
-                         deep_config);
+  ct::write_field(deep_tiers, "r.bp", "v", mesh, smooth_field(mesh),
+                  deep_config);
   struct Steps {
     std::vector<cm::Field> values;
     std::vector<std::size_t> bytes;
     std::vector<bool> partial;
   };
-  const auto run = [&](const cc::ReaderOptions& opts) {
-    cc::ProgressiveReader reader(deep_tiers, "r.bp", "v", nullptr, opts);
+  const auto run = [&](const canopus::Options& opts) {
+    const auto reader = ct::open_reader(deep_tiers, "r.bp", "v", nullptr, opts);
     Steps steps;
     const auto record = [&](const cc::RetrievalTimings& step) {
-      steps.values.push_back(reader.values());
+      steps.values.push_back(reader->values());
       steps.bytes.push_back(step.bytes_read);
-      steps.partial.push_back(reader.partially_refined());
+      steps.partial.push_back(reader->partially_refined());
     };
-    record(reader.refine_region({{0.3, 0.3}, {1.1, 1.1}}));
-    while (!reader.at_full_accuracy()) record(reader.refine());
+    record(reader->refine_region({{0.3, 0.3}, {1.1, 1.1}}));
+    while (!reader->at_full_accuracy()) record(reader->refine());
     return steps;
   };
   const Steps reference = run(blocking);
@@ -690,7 +700,7 @@ TEST(ParallelDeterminism, AsyncRingRestoreBitwiseIdenticalToBlocking) {
 // read-ahead — while transient tier faults force retries.
 TEST(ParallelDeterminism, DepthOneRingChargesTheSerialChunkFold) {
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  auto config = chunked_config(0);
+  auto config = chunked_config();
   config.levels = 4;
   const cm::Aabb roi{{0.3, 0.3}, {1.1, 1.1}};
   const auto flaky = [](cs::StorageHierarchy& tiers) {
@@ -709,26 +719,25 @@ TEST(ParallelDeterminism, DepthOneRingChargesTheSerialChunkFold) {
   for (const bool read_ahead : {false, true}) {
     SCOPED_TRACE(read_ahead ? "read-ahead on" : "read-ahead off");
     auto tiers = three_tiers();
-    cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh), config);
+    ct::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh), config);
     const auto geometry = cc::GeometryCache::load(tiers, "d.bp", "v");
     flaky(tiers);
-    cc::ReaderOptions opts;  // default IoConfig: depth 1
+    canopus::Options opts;  // default IoConfig: depth 1
     opts.parallel.threads = 4;
     opts.parallel.read_ahead = read_ahead;
-    cc::ProgressiveReader reader(tiers, "d.bp", "v", &geometry, opts);
+    const auto reader = ct::open_reader(tiers, "d.bp", "v", &geometry, opts);
     std::vector<cc::RetrievalTimings> steps;
-    steps.push_back(reader.refine());            // 3 -> 2: every chunk
-    steps.push_back(reader.refine_region(roi));  // 2 -> 1: the ROI's chunks
-    ASSERT_TRUE(reader.partially_refined());
-    steps.push_back(reader.refine());  // backfill level 1, then 1 -> 0
-    ASSERT_FALSE(reader.partially_refined());
-    ASSERT_TRUE(reader.at_full_accuracy());
+    steps.push_back(reader->refine());            // 3 -> 2: every chunk
+    steps.push_back(reader->refine_region(roi));  // 2 -> 1: the ROI's chunks
+    ASSERT_TRUE(reader->partially_refined());
+    steps.push_back(reader->refine());  // backfill level 1, then 1 -> 0
+    ASSERT_FALSE(reader->partially_refined());
+    ASSERT_TRUE(reader->at_full_accuracy());
 
     // Reference: the same reads in the same order on an identical,
     // identically faulted hierarchy, one fetch_chunk at a time.
     auto ref_tiers = three_tiers();
-    cc::refactor_and_write(ref_tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                           config);
+    ct::write_field(ref_tiers, "d.bp", "v", mesh, smooth_field(mesh), config);
     flaky(ref_tiers);
     const ca::BpReader bp(ref_tiers, "d.bp");  // the reader's open: metadata,
     bp.read_doubles("v", ca::BlockKind::kBase, 3);  // then the base
@@ -791,16 +800,16 @@ TEST(ParallelDeterminism, SimdOnOffBitwiseIdentical) {
   cm::Field scalar_restored;
   {
     cu::simd::ScopedForceScalar force_scalar;
-    cc::refactor_and_write(tiers_scalar, "d.bp", "v", mesh, values,
-                           chunked_config(4));
-    cc::ProgressiveReader reader(tiers_scalar, "d.bp", "v");
-    reader.refine_to(0);
-    scalar_restored = reader.values();
+    ct::write_field(tiers_scalar, "d.bp", "v", mesh, values, chunked_config(),
+                    threads_options(4));
+    const auto reader = ct::open_reader(tiers_scalar, "d.bp", "v");
+    reader->refine_to(0);
+    scalar_restored = reader->values();
   }
 
   auto tiers_simd = three_tiers();
-  cc::refactor_and_write(tiers_simd, "d.bp", "v", mesh, values,
-                         chunked_config(4));
+  ct::write_field(tiers_simd, "d.bp", "v", mesh, values, chunked_config(),
+                  threads_options(4));
   const auto objects_scalar = stored_objects(tiers_scalar, "d.bp", "v");
   const auto objects_simd = stored_objects(tiers_simd, "d.bp", "v");
   ASSERT_EQ(objects_scalar.size(), objects_simd.size());
@@ -810,14 +819,15 @@ TEST(ParallelDeterminism, SimdOnOffBitwiseIdentical) {
     EXPECT_EQ(bytes, it->second) << key;
   }
 
-  cc::ReaderOptions async_opts;
+  canopus::Options async_opts;
   async_opts.parallel.threads = 4;
   async_opts.io.depth = 8;
-  cc::ProgressiveReader reader(tiers_simd, "d.bp", "v", nullptr, async_opts);
-  reader.refine_to(0);
-  ASSERT_EQ(scalar_restored.size(), reader.values().size());
+  const auto reader = ct::open_reader(tiers_simd, "d.bp", "v", nullptr,
+                                      async_opts);
+  reader->refine_to(0);
+  ASSERT_EQ(scalar_restored.size(), reader->values().size());
   for (std::size_t i = 0; i < scalar_restored.size(); ++i) {
-    ASSERT_EQ(scalar_restored[i], reader.values()[i]) << "vertex " << i;
+    ASSERT_EQ(scalar_restored[i], reader->values()[i]) << "vertex " << i;
   }
 }
 
@@ -832,16 +842,14 @@ TEST(ParallelDeterminism, TierAdvisorOnOffBitwiseIdentical) {
   auto tiers_static = three_tiers();
   cm::Field baseline;
   {
-    cc::refactor_and_write(tiers_static, "d.bp", "v", mesh, values,
-                           chunked_config(0));
-    cc::ProgressiveReader reader(tiers_static, "d.bp", "v");
-    reader.refine_to(0);
-    baseline = reader.values();
+    ct::write_field(tiers_static, "d.bp", "v", mesh, values, chunked_config());
+    const auto reader = ct::open_reader(tiers_static, "d.bp", "v");
+    reader->refine_to(0);
+    baseline = reader->values();
   }
 
   auto tiers_adaptive = three_tiers();
-  cc::refactor_and_write(tiers_adaptive, "d.bp", "v", mesh, values,
-                         chunked_config(0));
+  ct::write_field(tiers_adaptive, "d.bp", "v", mesh, values, chunked_config());
   canopus::tiering::TierAdvisor advisor([] {
     canopus::tiering::TieringConfig config;
     config.half_life_seconds = 1e6;
@@ -860,20 +868,21 @@ TEST(ParallelDeterminism, TierAdvisorOnOffBitwiseIdentical) {
     }
   }
 
-  cc::ReaderOptions opts;
+  canopus::Options opts;
   opts.parallel.threads = 4;
   opts.io.depth = 8;
-  cc::ProgressiveReader reader(tiers_adaptive, "d.bp", "v", nullptr, opts);
+  const auto reader = ct::open_reader(tiers_adaptive, "d.bp", "v", nullptr,
+                                      opts);
   std::size_t moves = 0;
   moves += advisor.tick();
-  reader.refine_to(1);
+  reader->refine_to(1);
   moves += advisor.tick();
-  reader.refine_to(0);
+  reader->refine_to(0);
   ASSERT_GT(moves, 0u);  // placement really changed mid-read
 
-  ASSERT_EQ(baseline.size(), reader.values().size());
+  ASSERT_EQ(baseline.size(), reader->values().size());
   for (std::size_t i = 0; i < baseline.size(); ++i) {
-    ASSERT_EQ(baseline[i], reader.values()[i]) << "vertex " << i;
+    ASSERT_EQ(baseline[i], reader->values()[i]) << "vertex " << i;
   }
 }
 
@@ -886,15 +895,15 @@ TEST(ParallelDeterminism, AsyncAccountingChargesMakespanNotSum) {
 
   auto run = [&](std::uint32_t io_depth) {
     auto tiers = three_tiers();
-    cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                           chunked_config(0));
-    cc::ReaderOptions opts;
+    ct::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                    chunked_config());
+    canopus::Options opts;
     opts.parallel.threads = 4;
     opts.parallel.read_ahead = false;
     opts.io.depth = io_depth;
-    cc::ProgressiveReader reader(tiers, "d.bp", "v", nullptr, opts);
-    reader.refine_to(0);
-    return reader.cumulative();
+    const auto reader = ct::open_reader(tiers, "d.bp", "v", nullptr, opts);
+    reader->refine_to(0);
+    return reader->cumulative();
   };
 
   const auto blocking = run(1);

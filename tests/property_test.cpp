@@ -26,6 +26,7 @@ namespace cm = canopus::mesh;
 namespace cp = canopus::compress;
 namespace cs = canopus::storage;
 namespace cu = canopus::util;
+namespace ct = canopus::test;
 
 namespace {
 
@@ -212,10 +213,10 @@ TEST_P(RoundTripSweep, BudgetHeldUnderEstimateAndPlacementVariants) {
   config.error_bound = 1e-6;
   config.estimate = mode;
   config.tiered_placement = tiered;
-  cc::refactor_and_write(tiers, "rt.bp", "v", mesh, field, config);
-  cc::ProgressiveReader reader(tiers, "rt.bp", "v");
-  reader.refine_to(0);
-  EXPECT_LE(cu::max_abs_error(field, reader.values()), 3e-6);
+  ct::write_field(tiers, "rt.bp", "v", mesh, field, config);
+  const auto reader = ct::open_reader(tiers, "rt.bp", "v");
+  reader->refine_to(0);
+  EXPECT_LE(cu::max_abs_error(field, reader->values()), 3e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -276,8 +277,8 @@ TEST(Fig5Mechanism, CanopusWinsOnShuffledMeshesLosesNothingOnOrdered) {
     config.error_bound = 1e-4;
     cs::StorageHierarchy tiers(
         {cs::tmpfs_spec(8 << 20), cs::lustre_spec(1 << 30)});
-    const auto canopus = cc::refactor_and_write(tiers, "f.bp", "v", mesh,
-                                                field, config);
+    const auto canopus = ct::write_field(tiers, "f.bp", "v", mesh, field,
+                                         config);
     const auto direct = cc::direct_multilevel_sizes(mesh, field, config);
     if (shuffled) {
       // Realistic (incoherent) numbering: the mesh-aware deltas must win.

@@ -17,12 +17,14 @@
 #include "storage/fault.hpp"
 #include "storage/hierarchy.hpp"
 #include "util/stats.hpp"
+#include "test_support.hpp"
 
 namespace ca = canopus::adios;
 namespace cc = canopus::core;
 namespace cm = canopus::mesh;
 namespace cs = canopus::storage;
 namespace cu = canopus::util;
+namespace ct = canopus::test;
 
 namespace {
 
@@ -107,17 +109,17 @@ TEST(ChunkedDeltas, FullRefineMatchesUnchunked) {
   mono.levels = chunked.levels = 3;
   mono.codec = chunked.codec = "fpc";  // lossless: outputs comparable exactly
   chunked.delta_chunks = 16;
-  cc::refactor_and_write(t1, "m.bp", "v", mesh, values, mono);
-  cc::refactor_and_write(t2, "c.bp", "v", mesh, values, chunked);
-  cc::ProgressiveReader rm(t1, "m.bp", "v");
-  cc::ProgressiveReader rc(t2, "c.bp", "v");
-  rm.refine_to(0);
-  rc.refine_to(0);
-  ASSERT_EQ(rm.values().size(), rc.values().size());
-  for (std::size_t i = 0; i < rm.values().size(); ++i) {
-    EXPECT_EQ(rm.values()[i], rc.values()[i]) << i;
+  ct::write_field(t1, "m.bp", "v", mesh, values, mono);
+  ct::write_field(t2, "c.bp", "v", mesh, values, chunked);
+  const auto rm = ct::open_reader(t1, "m.bp", "v");
+  const auto rc = ct::open_reader(t2, "c.bp", "v");
+  rm->refine_to(0);
+  rc->refine_to(0);
+  ASSERT_EQ(rm->values().size(), rc->values().size());
+  for (std::size_t i = 0; i < rm->values().size(); ++i) {
+    EXPECT_EQ(rm->values()[i], rc->values()[i]) << i;
   }
-  EXPECT_FALSE(rc.partially_refined());
+  EXPECT_FALSE(rc->partially_refined());
 }
 
 TEST(RoiRefine, AccurateInsideEstimateOutside) {
@@ -131,20 +133,20 @@ TEST(RoiRefine, AccurateInsideEstimateOutside) {
   config.codec = "zfp";
   config.error_bound = 1e-7;
   config.delta_chunks = 32;
-  cc::refactor_and_write(h, "roi.bp", "v", mesh, values, config);
+  ct::write_field(h, "roi.bp", "v", mesh, values, config);
 
   const cm::Aabb roi{{1.2, 1.2}, {1.8, 1.8}};
-  cc::ProgressiveReader reader(h, "roi.bp", "v");
-  reader.refine_region(roi);
-  EXPECT_TRUE(reader.partially_refined());
-  EXPECT_TRUE(reader.at_full_accuracy());
-  ASSERT_EQ(reader.values().size(), values.size());
+  const auto reader = ct::open_reader(h, "roi.bp", "v");
+  reader->refine_region(roi);
+  EXPECT_TRUE(reader->partially_refined());
+  EXPECT_TRUE(reader->at_full_accuracy());
+  ASSERT_EQ(reader->values().size(), values.size());
 
   double inside_err = 0.0, outside_err = 0.0;
   std::size_t inside_n = 0;
   for (cm::VertexId v = 0; v < mesh.vertex_count(); ++v) {
     const auto p = mesh.vertex(v);
-    const double err = std::abs(reader.values()[v] - values[v]);
+    const double err = std::abs(reader->values()[v] - values[v]);
     const bool inside = p.x >= roi.lo.x && p.x <= roi.hi.x &&
                         p.y >= roi.lo.y && p.y <= roi.hi.y;
     if (inside) {
@@ -171,18 +173,18 @@ TEST(RoiRefine, ReadsFewerBytesThanFullRefine) {
   config.codec = "zfp";
   config.error_bound = 1e-6;
   config.delta_chunks = 64;
-  cc::refactor_and_write(h, "roi.bp", "v", mesh, values, config);
+  ct::write_field(h, "roi.bp", "v", mesh, values, config);
 
   // Shared geometry cache: only data (delta) bytes differ between the modes.
   const auto geometry = cc::GeometryCache::load(h, "roi.bp", "v");
-  cc::ProgressiveReader full(h, "roi.bp", "v", &geometry);
-  const auto full_step = full.refine();
-  cc::ProgressiveReader focused(h, "roi.bp", "v", &geometry);
-  const auto roi_step = focused.refine_region({{0.2, 0.2}, {0.6, 0.6}});
+  const auto full = ct::open_reader(h, "roi.bp", "v", &geometry);
+  const auto full_step = full->refine();
+  const auto focused = ct::open_reader(h, "roi.bp", "v", &geometry);
+  const auto roi_step = focused->refine_region({{0.2, 0.2}, {0.6, 0.6}});
   // Compare the refinement step itself (both readers paid the same base
   // read): the ROI fetches a handful of chunks instead of the whole delta.
   EXPECT_LT(roi_step.bytes_read, full_step.bytes_read / 2);
-  EXPECT_LT(focused.cumulative().io_seconds, full.cumulative().io_seconds);
+  EXPECT_LT(focused->cumulative().io_seconds, full->cumulative().io_seconds);
 }
 
 TEST(RoiRefine, UnchunkedVariableFallsBackToFullRefine) {
@@ -192,12 +194,12 @@ TEST(RoiRefine, UnchunkedVariableFallsBackToFullRefine) {
   cc::RefactorConfig config;
   config.levels = 2;
   config.codec = "fpc";
-  cc::refactor_and_write(h, "mono.bp", "v", mesh, values, config);
-  cc::ProgressiveReader reader(h, "mono.bp", "v");
-  reader.refine_region({{0.4, 0.4}, {0.6, 0.6}});
-  EXPECT_TRUE(reader.at_full_accuracy());
-  EXPECT_FALSE(reader.partially_refined());  // full fallback applied all data
-  EXPECT_LE(cu::max_abs_error(values, reader.values()), 1e-13);
+  ct::write_field(h, "mono.bp", "v", mesh, values, config);
+  const auto reader = ct::open_reader(h, "mono.bp", "v");
+  reader->refine_region({{0.4, 0.4}, {0.6, 0.6}});
+  EXPECT_TRUE(reader->at_full_accuracy());
+  EXPECT_FALSE(reader->partially_refined());  // full fallback applied all data
+  EXPECT_LE(cu::max_abs_error(values, reader->values()), 1e-13);
 }
 
 TEST(RoiRefine, WorksWithGeometryCache) {
@@ -210,19 +212,19 @@ TEST(RoiRefine, WorksWithGeometryCache) {
   config.codec = "zfp";
   config.error_bound = 1e-7;
   config.delta_chunks = 24;
-  cc::refactor_and_write(h, "gc.bp", "v", mesh, values, config);
+  ct::write_field(h, "gc.bp", "v", mesh, values, config);
   const auto geometry = cc::GeometryCache::load(h, "gc.bp", "v");
-  cc::ProgressiveReader reader(h, "gc.bp", "v", &geometry);
-  reader.refine_region({{0.6, -0.2}, {1.0, 0.2}});
-  reader.refine_region({{0.6, -0.2}, {1.0, 0.2}});
-  EXPECT_TRUE(reader.at_full_accuracy());
+  const auto reader = ct::open_reader(h, "gc.bp", "v", &geometry);
+  reader->refine_region({{0.6, -0.2}, {1.0, 0.2}});
+  reader->refine_region({{0.6, -0.2}, {1.0, 0.2}});
+  EXPECT_TRUE(reader->at_full_accuracy());
   // The feature region restored accurately through both regional steps.
   double feature_err = 0.0;
   for (cm::VertexId v = 0; v < mesh.vertex_count(); ++v) {
     const auto p = mesh.vertex(v);
     if (p.x >= 0.65 && p.x <= 0.95 && std::abs(p.y) <= 0.15) {
       feature_err = std::max(feature_err,
-                             std::abs(reader.values()[v] - values[v]));
+                             std::abs(reader->values()[v] - values[v]));
     }
   }
   EXPECT_LE(feature_err, 5e-7);
@@ -242,27 +244,27 @@ TEST(RoiRefine, FullRefineAfterRegionalBackfillsAndClearsFlag) {
   config.levels = 3;
   config.codec = "fpc";  // lossless: restored values comparable bitwise
   config.delta_chunks = 16;
-  cc::refactor_and_write(h, "bf.bp", "v", mesh, values, config);
+  ct::write_field(h, "bf.bp", "v", mesh, values, config);
 
-  cc::ProgressiveReader reader(h, "bf.bp", "v");
-  reader.refine_region({{1.3, 1.3}, {1.9, 1.9}});  // partial coverage
-  ASSERT_TRUE(reader.partially_refined());
-  const std::uint32_t after_roi = reader.current_level();
+  const auto reader = ct::open_reader(h, "bf.bp", "v");
+  reader->refine_region({{1.3, 1.3}, {1.9, 1.9}});  // partial coverage
+  ASSERT_TRUE(reader->partially_refined());
+  const std::uint32_t after_roi = reader->current_level();
 
-  const auto backfill_step = reader.refine();  // backfill + next level
-  EXPECT_FALSE(reader.partially_refined());
-  EXPECT_EQ(reader.current_level(), after_roi - 1);
+  const auto backfill_step = reader->refine();  // backfill + next level
+  EXPECT_FALSE(reader->partially_refined());
+  EXPECT_EQ(reader->current_level(), after_roi - 1);
   EXPECT_GT(backfill_step.bytes_read, 0u);
 
   // The backfilled state is bitwise the state of a reader that never took
   // the regional detour.
   auto h2 = tiers();
-  cc::refactor_and_write(h2, "bf.bp", "v", mesh, values, config);
-  cc::ProgressiveReader straight(h2, "bf.bp", "v");
-  straight.refine_to(reader.current_level());
-  ASSERT_EQ(reader.values().size(), straight.values().size());
-  for (std::size_t i = 0; i < reader.values().size(); ++i) {
-    ASSERT_EQ(reader.values()[i], straight.values()[i]) << "vertex " << i;
+  ct::write_field(h2, "bf.bp", "v", mesh, values, config);
+  const auto straight = ct::open_reader(h2, "bf.bp", "v");
+  straight->refine_to(reader->current_level());
+  ASSERT_EQ(reader->values().size(), straight->values().size());
+  for (std::size_t i = 0; i < reader->values().size(); ++i) {
+    ASSERT_EQ(reader->values()[i], straight->values()[i]) << "vertex " << i;
   }
 }
 
@@ -281,20 +283,20 @@ TEST(RoiRefine, BackfillResumesExactlyAfterMidwayFault) {
   const cm::Aabb roi{{1.3, 1.3}, {1.9, 1.9}};
 
   auto h0 = tiers();
-  cc::refactor_and_write(h0, "bf.bp", "v", mesh, values, config);
-  cc::ProgressiveReader straight(h0, "bf.bp", "v");
-  straight.refine_to(0);
+  ct::write_field(h0, "bf.bp", "v", mesh, values, config);
+  const auto straight = ct::open_reader(h0, "bf.bp", "v");
+  straight->refine_to(0);
 
   for (const std::uint32_t depth : {1u, 4u}) {
     SCOPED_TRACE("io depth " + std::to_string(depth));
     auto h = tiers();
-    cc::refactor_and_write(h, "bf.bp", "v", mesh, values, config);
-    cc::ReaderOptions opts;
+    ct::write_field(h, "bf.bp", "v", mesh, values, config);
+    canopus::Options opts;
     opts.io.depth = depth;
-    cc::ProgressiveReader reader(h, "bf.bp", "v", nullptr, opts);
-    reader.refine_region(roi);
-    ASSERT_TRUE(reader.partially_refined());
-    const std::uint32_t level = reader.current_level();
+    const auto reader = ct::open_reader(h, "bf.bp", "v", nullptr, opts);
+    reader->refine_region(roi);
+    ASSERT_TRUE(reader->partially_refined());
+    const std::uint32_t level = reader->current_level();
 
     // The backfill reads the skipped chunks from the highest id down. Keep
     // the first of them on the fast tier and strand the rest on a tier that
@@ -321,20 +323,20 @@ TEST(RoiRefine, BackfillResumesExactlyAfterMidwayFault) {
     injector->set_profile(1, dead);
     h.attach_fault_injector(injector);
 
-    const auto failed = reader.refine();
-    EXPECT_EQ(reader.last_status(), cc::RefineStatus::kDegraded);
-    EXPECT_EQ(reader.current_level(), level);
-    EXPECT_TRUE(reader.partially_refined());
+    const auto failed = reader->refine();
+    EXPECT_EQ(reader->last_status(), cc::RefineStatus::kDegraded);
+    EXPECT_EQ(reader->current_level(), level);
+    EXPECT_TRUE(reader->partially_refined());
     EXPECT_GT(failed.bytes_read, 0u);  // the first skipped chunk landed
 
     h.attach_fault_injector(nullptr);
-    reader.refine_to(0);
-    EXPECT_EQ(reader.last_status(), cc::RefineStatus::kOk);
-    EXPECT_FALSE(reader.partially_refined());
-    ASSERT_TRUE(reader.at_full_accuracy());
-    ASSERT_EQ(reader.values().size(), straight.values().size());
-    for (std::size_t i = 0; i < reader.values().size(); ++i) {
-      ASSERT_EQ(reader.values()[i], straight.values()[i]) << "vertex " << i;
+    reader->refine_to(0);
+    EXPECT_EQ(reader->last_status(), cc::RefineStatus::kOk);
+    EXPECT_FALSE(reader->partially_refined());
+    ASSERT_TRUE(reader->at_full_accuracy());
+    ASSERT_EQ(reader->values().size(), straight->values().size());
+    for (std::size_t i = 0; i < reader->values().size(); ++i) {
+      ASSERT_EQ(reader->values()[i], straight->values()[i]) << "vertex " << i;
     }
   }
 }
@@ -349,13 +351,13 @@ TEST(RoiRefine, FullCoverageRoiLeavesPartialFlagClear) {
   config.levels = 2;
   config.codec = "fpc";
   config.delta_chunks = 8;
-  cc::refactor_and_write(h, "fc.bp", "v", mesh, values, config);
+  ct::write_field(h, "fc.bp", "v", mesh, values, config);
 
-  cc::ProgressiveReader reader(h, "fc.bp", "v");
-  reader.refine_region({{-10.0, -10.0}, {10.0, 10.0}});
-  EXPECT_FALSE(reader.partially_refined());
-  EXPECT_TRUE(reader.at_full_accuracy());
-  EXPECT_LE(cu::max_abs_error(values, reader.values()), 1e-13);
+  const auto reader = ct::open_reader(h, "fc.bp", "v");
+  reader->refine_region({{-10.0, -10.0}, {10.0, 10.0}});
+  EXPECT_FALSE(reader->partially_refined());
+  EXPECT_TRUE(reader->at_full_accuracy());
+  EXPECT_LE(cu::max_abs_error(values, reader->values()), 1e-13);
 }
 
 TEST(RoiRefine, StackedPartialRegionsStaySticky) {
@@ -370,12 +372,12 @@ TEST(RoiRefine, StackedPartialRegionsStaySticky) {
   config.codec = "zfp";
   config.error_bound = 1e-7;
   config.delta_chunks = 16;
-  cc::refactor_and_write(h, "st.bp", "v", mesh, values, config);
+  ct::write_field(h, "st.bp", "v", mesh, values, config);
 
-  cc::ProgressiveReader reader(h, "st.bp", "v");
-  reader.refine_region({{0.2, 0.2}, {0.8, 0.8}});
-  ASSERT_TRUE(reader.partially_refined());
-  reader.refine_region({{0.3, 0.3}, {0.7, 0.7}});
-  EXPECT_TRUE(reader.at_full_accuracy());
-  EXPECT_TRUE(reader.partially_refined());  // sticky by design once stacked
+  const auto reader = ct::open_reader(h, "st.bp", "v");
+  reader->refine_region({{0.2, 0.2}, {0.8, 0.8}});
+  ASSERT_TRUE(reader->partially_refined());
+  reader->refine_region({{0.3, 0.3}, {0.7, 0.7}});
+  EXPECT_TRUE(reader->at_full_accuracy());
+  EXPECT_TRUE(reader->partially_refined());  // sticky by design once stacked
 }

@@ -19,11 +19,13 @@
 #include "serve/cost_model.hpp"
 #include "serve/query_scheduler.hpp"
 #include "storage/hierarchy.hpp"
+#include "test_support.hpp"
 
 namespace cc = canopus::core;
 namespace cm = canopus::mesh;
 namespace cs = canopus::storage;
 namespace cv = canopus::serve;
+namespace ct = canopus::test;
 
 using canopus::Status;
 using canopus::StatusCode;
@@ -59,8 +61,8 @@ struct Dataset {
   cm::TriMesh mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
 
   Dataset() {
-    cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                           refactor_config());
+    ct::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                    refactor_config());
   }
 };
 
@@ -122,10 +124,10 @@ TEST(QueryScheduler, TightDeadlineDegradesToCoarserLevelBitwise) {
   double first_step_io = 0.0;
   std::uint32_t coarsest = 0;
   {
-    cc::ProgressiveReader probe(data.tiers, "d.bp", "v");
-    base_total = probe.cumulative().total();
-    coarsest = probe.current_level();
-    const auto model = cv::CostModel::build(data.tiers, probe);
+    const auto probe = ct::open_reader(data.tiers, "d.bp", "v");
+    base_total = probe->cumulative().total();
+    coarsest = probe->current_level();
+    const auto model = cv::CostModel::build(data.tiers, *probe);
     first_step_io = model.step(coarsest - 1).io_seconds;
   }
   ASSERT_GT(first_step_io, 0.0);
@@ -322,10 +324,10 @@ TEST(QueryScheduler, MissingVariableFailsAsNotFound) {
 
 TEST(CostModel, StepsCoverEveryRefinableLevel) {
   Dataset data;
-  cc::ProgressiveReader reader(data.tiers, "d.bp", "v");
-  const auto model = cv::CostModel::build(data.tiers, reader);
+  const auto reader = ct::open_reader(data.tiers, "d.bp", "v");
+  const auto model = cv::CostModel::build(data.tiers, *reader);
 
-  ASSERT_EQ(model.steps().size(), reader.level_count() - 1);
+  ASSERT_EQ(model.steps().size(), reader->level_count() - 1);
   for (const auto& step : model.steps()) {
     EXPECT_GT(step.io_seconds, 0.0) << "level " << step.level;
     EXPECT_GT(step.compute_seconds, 0.0) << "level " << step.level;
@@ -333,7 +335,7 @@ TEST(CostModel, StepsCoverEveryRefinableLevel) {
     EXPECT_EQ(step.cached_blocks, 0u) << "level " << step.level;
   }
 
-  const auto coarsest = static_cast<std::uint32_t>(reader.level_count() - 1);
+  const auto coarsest = static_cast<std::uint32_t>(reader->level_count() - 1);
   EXPECT_GT(model.cost_between(coarsest, 0), 0.0);
   EXPECT_GE(model.cost_between(coarsest, 0), model.cost_between(coarsest, 1));
   EXPECT_EQ(model.cost_between(0, coarsest), 0.0);  // already finer
@@ -350,15 +352,15 @@ TEST(CostModel, StepsCoverEveryRefinableLevel) {
 
 TEST(CostModel, CacheResidencyWaivesEstimatedIo) {
   Dataset data;
-  canopus::PipelineOptions options;
+  canopus::Options options;
   canopus::cache::CacheConfig cache_config;
   cache_config.budget_bytes = 32ull << 20;
   options.cache = cache_config;
   canopus::Pipeline pipeline(data.tiers, options);
 
   const auto geometry = cc::GeometryCache::load(data.tiers, "d.bp", "v");
-  cc::ProgressiveReader cold(data.tiers, "d.bp", "v", &geometry);
-  const auto before = cv::CostModel::build(data.tiers, cold);
+  const auto cold = ct::open_reader(data.tiers, "d.bp", "v", &geometry);
+  const auto before = cv::CostModel::build(data.tiers, *cold);
 
   // Warm every delta block through the facade, then re-plan.
   canopus::ReadRequest rreq;
@@ -368,8 +370,8 @@ TEST(CostModel, CacheResidencyWaivesEstimatedIo) {
   canopus::ReadResult full;
   ASSERT_TRUE(pipeline.read(rreq, &full).ok());
 
-  cc::ProgressiveReader warm(data.tiers, "d.bp", "v", &geometry);
-  const auto after = cv::CostModel::build(data.tiers, warm);
+  const auto warm = ct::open_reader(data.tiers, "d.bp", "v", &geometry);
+  const auto after = cv::CostModel::build(data.tiers, *warm);
   ASSERT_EQ(before.steps().size(), after.steps().size());
   for (std::size_t l = 0; l < after.steps().size(); ++l) {
     EXPECT_GT(before.steps()[l].io_seconds, 0.0) << "level " << l;
@@ -445,7 +447,7 @@ TEST(QueryScheduler, ConcurrentClientsAllResolve) {
 
 TEST(PipelineServe, SubmitQueryRoundTrip) {
   Dataset data;
-  canopus::PipelineOptions options;
+  canopus::Options options;
   cv::ServeConfig serve;
   serve.workers = 2;
   serve.queue_limit = 16;
@@ -474,7 +476,7 @@ TEST(PipelineServe, SubmitQueryHonorsIoDepth) {
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
   cc::RefactorConfig config = refactor_config();
   config.delta_chunks = 8;
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh), config);
+  ct::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh), config);
 
   const auto serve = [&](std::uint32_t depth) {
     canopus::Options options;

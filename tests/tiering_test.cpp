@@ -211,8 +211,8 @@ TEST(MakeRoom, BothCapacityPathsThrowTypedCapacityError) {
 TEST(TierAdvisor, PromotesHotDeltaLevelThenStabilizes) {
   auto tiers = three_tiers();
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         chunked_config());
+  canopus::test::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                             chunked_config());
 
   ct::TierAdvisor advisor(test_policy());
   advisor.watch(tiers);
@@ -249,8 +249,8 @@ TEST(TierAdvisor, PromotesHotDeltaLevelThenStabilizes) {
 TEST(TierAdvisor, HysteresisBandNeverThrashes) {
   auto tiers = three_tiers();
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         chunked_config());
+  canopus::test::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                             chunked_config());
 
   ct::TierAdvisor advisor(test_policy());
   advisor.watch(tiers);
@@ -291,8 +291,8 @@ TEST(TierAdvisor, HysteresisBandNeverThrashes) {
 TEST(TierAdvisor, CooldownSuppressesImmediateReversal) {
   auto tiers = three_tiers();
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         chunked_config());
+  canopus::test::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                             chunked_config());
 
   auto config = test_policy();
   config.cooldown_ticks = 2;
@@ -359,14 +359,14 @@ TEST(TierAdvisor, DemoteColdestPicksColdestFirstDeterministically) {
 TEST(StaleResidency, RefineEstimateTracksLiveTierAfterBackgroundDemotion) {
   auto tiers = three_tiers();
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         chunked_config());
+  canopus::test::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                             chunked_config());
 
-  cc::ProgressiveReader reader(tiers, "d.bp", "v");
+  const auto reader = canopus::test::open_reader(tiers, "d.bp", "v");
   const auto estimate = [&](const cc::ProgressiveReader& r) {
     return cv::CostModel::build(tiers, r).step(0).io_seconds;
   };
-  const double before = estimate(reader);
+  const double before = estimate(*reader);
 
   // A background demotion (eviction pressure, advisor policy) moves the
   // level's chunks while the reader stays open. The estimate must price the
@@ -377,7 +377,7 @@ TEST(StaleResidency, RefineEstimateTracksLiveTierAfterBackgroundDemotion) {
   const std::size_t target = origin == 2 ? 0 : 2;
   for (const auto& key : keys) tiers.migrate(key, target);
 
-  const double after = estimate(reader);
+  const double after = estimate(*reader);
   EXPECT_NE(after, before);
   if (target > origin) {
     EXPECT_GT(after, before);  // demoted to a slower tier: pricier
@@ -386,15 +386,15 @@ TEST(StaleResidency, RefineEstimateTracksLiveTierAfterBackgroundDemotion) {
   }
   // Planned == achieved: a reader opened fresh (which can only see live
   // residency) prices the step identically.
-  cc::ProgressiveReader fresh(tiers, "d.bp", "v");
-  EXPECT_DOUBLE_EQ(after, estimate(fresh));
+  const auto fresh = canopus::test::open_reader(tiers, "d.bp", "v");
+  EXPECT_DOUBLE_EQ(after, estimate(*fresh));
 }
 
 TEST(StaleResidency, PredictedTierRestampsOnObservedMigration) {
   auto tiers = three_tiers();
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         chunked_config());
+  canopus::test::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                             chunked_config());
 
   ct::TierAdvisor advisor(test_policy());
   advisor.watch(tiers);
@@ -414,9 +414,9 @@ TEST(StaleResidency, PredictedTierRestampsOnObservedMigration) {
 
   // With predictions in line with live residency, an advisor-aware cost
   // model and a plain one agree exactly: planned cost is achieved cost.
-  cc::ProgressiveReader reader(tiers, "d.bp", "v");
-  const auto with = cv::CostModel::build(tiers, reader, nullptr, &advisor);
-  const auto without = cv::CostModel::build(tiers, reader, nullptr, nullptr);
+  const auto reader = canopus::test::open_reader(tiers, "d.bp", "v");
+  const auto with = cv::CostModel::build(tiers, *reader, nullptr, &advisor);
+  const auto without = cv::CostModel::build(tiers, *reader, nullptr, nullptr);
   ASSERT_EQ(with.steps().size(), without.steps().size());
   for (std::size_t i = 0; i < with.steps().size(); ++i) {
     EXPECT_DOUBLE_EQ(with.steps()[i].io_seconds, without.steps()[i].io_seconds)
@@ -431,18 +431,18 @@ TEST(TierAdvisor, AdvisorMovesAreBitwiseInvisibleToRestoredFields) {
   const auto values = smooth_field(mesh);
 
   auto tiers_static = three_tiers();
-  cc::refactor_and_write(tiers_static, "d.bp", "v", mesh, values,
-                         chunked_config());
+  canopus::test::write_field(tiers_static, "d.bp", "v", mesh, values,
+                             chunked_config());
   cm::Field baseline;
   {
-    cc::ProgressiveReader reader(tiers_static, "d.bp", "v");
-    reader.refine_to(0);
-    baseline = reader.values();
+    const auto reader = canopus::test::open_reader(tiers_static, "d.bp", "v");
+    reader->refine_to(0);
+    baseline = reader->values();
   }
 
   auto tiers_adaptive = three_tiers();
-  cc::refactor_and_write(tiers_adaptive, "d.bp", "v", mesh, values,
-                         chunked_config());
+  canopus::test::write_field(tiers_adaptive, "d.bp", "v", mesh, values,
+                             chunked_config());
   ct::TierAdvisor advisor(test_policy());
   advisor.watch(tiers_adaptive);
   ASSERT_TRUE(advisor.register_container("d.bp"));
@@ -456,16 +456,16 @@ TEST(TierAdvisor, AdvisorMovesAreBitwiseInvisibleToRestoredFields) {
       advisor.heat().record(key, 10.0);
     }
   }
-  cc::ProgressiveReader reader(tiers_adaptive, "d.bp", "v");
-  reader.refine_to(1);
+  const auto reader = canopus::test::open_reader(tiers_adaptive, "d.bp", "v");
+  reader->refine_to(1);
   moves += advisor.tick();
-  reader.refine_to(0);
+  reader->refine_to(0);
   moves += advisor.tick();
   ASSERT_GT(moves, 0u);  // the advisor really did re-place data mid-read
 
-  ASSERT_EQ(baseline.size(), reader.values().size());
+  ASSERT_EQ(baseline.size(), reader->values().size());
   for (std::size_t i = 0; i < baseline.size(); ++i) {
-    ASSERT_EQ(baseline[i], reader.values()[i]) << "vertex " << i;
+    ASSERT_EQ(baseline[i], reader->values()[i]) << "vertex " << i;
   }
   // The stored products are byte-identical too, wherever they now live.
   const auto a = stored_objects(tiers_static, "d.bp", "v");
@@ -483,8 +483,8 @@ TEST(TierAdvisor, AdvisorMovesAreBitwiseInvisibleToRestoredFields) {
 TEST(TierAdvisor, HeatSurvivesAttachNodeAndRebalance) {
   cs::StorageHierarchy staging({cs::tmpfs_spec(256 << 20)});
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  cc::refactor_and_write(staging, "d.bp", "v", mesh, smooth_field(mesh),
-                         chunked_config());
+  canopus::test::write_field(staging, "d.bp", "v", mesh, smooth_field(mesh),
+                             chunked_config());
 
   cf::FabricOptions fo;
   fo.nodes = 2;
@@ -586,8 +586,8 @@ TEST(TieringConfig, OptionsValidateRejectsInvertedBand) {
 TEST(TieringConfig, PipelineFacadeExposesAdvisorAndReport) {
   auto tiers = three_tiers();
   const auto mesh = cm::make_annulus_mesh(16, 100, 0.5, 1.0, 0.1, 7);
-  cc::refactor_and_write(tiers, "d.bp", "v", mesh, smooth_field(mesh),
-                         chunked_config());
+  canopus::test::write_field(tiers, "d.bp", "v", mesh, smooth_field(mesh),
+                             chunked_config());
 
   canopus::Options options;
   options.tiering = test_policy();  // enabled=false: ticks stay manual

@@ -51,12 +51,12 @@ TEST(Transport, InTransitBlocksSimulationLess) {
   config.codec = "zfp";
   config.error_bound = 1e-6;
 
-  auto t1 = staged_tiers();
+  canopus::Pipeline p1(staged_tiers());
   const auto in_situ = cc::write_with_transport(
-      t1, "a.bp", "v", mesh, values, config, cc::TransportMode::kInSitu);
-  auto t2 = staged_tiers();
+      p1, "a.bp", "v", mesh, values, config, cc::TransportMode::kInSitu);
+  canopus::Pipeline p2(staged_tiers());
   const auto in_transit = cc::write_with_transport(
-      t2, "b.bp", "v", mesh, values, config, cc::TransportMode::kInTransit, 0);
+      p2, "b.bp", "v", mesh, values, config, cc::TransportMode::kInTransit, 0);
 
   // Staging a raw burst to DRAM blocks the simulation far less than the
   // full refactor+place path.
@@ -73,27 +73,32 @@ TEST(Transport, BothModesProduceIdenticalContainers) {
   config.levels = 2;
   config.codec = "fpc";  // lossless: restored values must match bit-for-bit
 
-  auto t1 = staged_tiers();
-  auto t2 = staged_tiers();
-  cc::write_with_transport(t1, "a.bp", "v", mesh, values, config,
+  canopus::Pipeline p1(staged_tiers());
+  canopus::Pipeline p2(staged_tiers());
+  cc::write_with_transport(p1, "a.bp", "v", mesh, values, config,
                            cc::TransportMode::kInSitu);
-  cc::write_with_transport(t2, "b.bp", "v", mesh, values, config,
+  cc::write_with_transport(p2, "b.bp", "v", mesh, values, config,
                            cc::TransportMode::kInTransit, 0);
-  cc::ProgressiveReader ra(t1, "a.bp", "v");
-  cc::ProgressiveReader rb(t2, "b.bp", "v");
-  ra.refine_to(0);
-  rb.refine_to(0);
-  EXPECT_EQ(ra.values(), rb.values());
+  canopus::ReadRequest request;
+  request.var = "v";
+  canopus::ReadResult a;
+  canopus::ReadResult b;
+  request.path = "a.bp";
+  ASSERT_TRUE(p1.read(request, &a).ok());
+  request.path = "b.bp";
+  ASSERT_TRUE(p2.read(request, &b).ok());
+  EXPECT_EQ(a.values, b.values);
 }
 
 TEST(Transport, StagedCopyIsReleasedAfterDrain) {
   const auto mesh = cm::make_rect_mesh(20, 20, 1.0, 1.0);
   const auto values = wavy(mesh);
   auto tiers = staged_tiers();
+  canopus::Pipeline pipeline(tiers);
   const std::size_t before = tiers.tier(0).used_bytes();
   cc::RefactorConfig config;
   config.levels = 2;
-  cc::write_with_transport(tiers, "c.bp", "v", mesh, values, config,
+  cc::write_with_transport(pipeline, "c.bp", "v", mesh, values, config,
                            cc::TransportMode::kInTransit, 0);
   // The staging slot is empty again; only refactored products remain.
   EXPECT_EQ(tiers.find("c.bp/v/.staged"), std::nullopt);
@@ -103,12 +108,14 @@ TEST(Transport, StagedCopyIsReleasedAfterDrain) {
 TEST(Transport, StagingTierTooSmallThrows) {
   const auto mesh = cm::make_rect_mesh(30, 30, 1.0, 1.0);
   const auto values = wavy(mesh);
-  cs::StorageHierarchy tiers({cs::tmpfs_spec(64), cs::lustre_spec(1 << 30)});
+  canopus::Pipeline pipeline(
+      cs::StorageHierarchy({cs::tmpfs_spec(64), cs::lustre_spec(1 << 30)}));
   cc::RefactorConfig config;
   config.levels = 2;
-  EXPECT_THROW(cc::write_with_transport(tiers, "x.bp", "v", mesh, values,
-                                        config, cc::TransportMode::kInTransit, 0),
-               canopus::Error);
+  EXPECT_THROW(
+      cc::write_with_transport(pipeline, "x.bp", "v", mesh, values, config,
+                               cc::TransportMode::kInTransit, 0),
+      canopus::Error);
 }
 
 // ------------------------------------------------------- chunked BP blocks --
